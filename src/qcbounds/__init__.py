@@ -10,7 +10,6 @@ instances where the refined bound becomes an equality.
 
 from . import errors
 from .algebra import (
-    QParameter,
     QRegime,
     classify_q,
     q_anticommutator,
@@ -56,7 +55,6 @@ __all__ = [
     "BoundReport",
     "DensityMatrix",
     "HermitianMatrix",
-    "QParameter",
     "QRegime",
     "SearchResult",
     "SeededRng",

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from .hermitian import DensityMatrix, HermitianMatrix
 
 
 class QRegime(enum.Enum):
-    """Intervals of the deformation parameter that take distinct bound forms."""
+    """Intervals of the deformation parameter, the regime label of each record."""
 
     POSITIVE_LEQ_ONE = "PositiveLeqOne"
     POSITIVE_GT_ONE = "PositiveGtOne"
@@ -46,19 +45,6 @@ def classify_q(q: float) -> QRegime:
     if -1.0 <= q < 0.0:
         return QRegime.NEGATIVE_GEQ_MINUS_ONE
     return QRegime.LT_MINUS_ONE
-
-
-@dataclass(frozen=True)
-class QParameter:
-    """A finite deformation parameter together with its regime."""
-
-    q: float
-    regime: QRegime = field(init=False)
-
-    def __post_init__(self) -> None:
-        regime = classify_q(self.q)
-        object.__setattr__(self, "q", float(self.q))
-        object.__setattr__(self, "regime", regime)
 
 
 def _check_dims(a: HermitianMatrix, b: HermitianMatrix) -> None:

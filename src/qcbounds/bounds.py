@@ -8,33 +8,30 @@ that prefactor using the extreme eigenvalues of rho:
     |q| <= 1:  (l_max + |q| l_min)^2 / [(1+|q|)^2 (l_max - |q| l_min)^2]
     |q| >  1:  (|q| l_max + l_min)^2 / [(1+|q|)^2 (|q| l_max - l_min)^2]
 
-multiplying the squared trace of the deformed bracket of the centred
-observables (with the operands swapped for |q| > 1).  Negative q reduces
-to the same two forms through the anti-commutator identity
-{A,B}_q = [A,B]_{-q}.  ``bound_report`` evaluates every bound on one
-instance and is the record type the verification harness streams out.
+multiplying |Tr[rho [A0,B0]_|q|]|^2 for the centred observables, with the
+operands swapped for |q| > 1; negative q needs only |q|, since
+{A,B}_q = [A,B]_{-q}.  All bounds read one pass per instance (variances,
+Tr[rho A0 B0], Tr[rho B0 A0], the raw commutator trace, extreme
+eigenvalues), so each further q costs O(1).  ``bound_report`` evaluates
+every bound on one instance; it is the record the CLI streams out.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import QParameter, QRegime, q_trace_term
-from .errors import (
-    DegenerateCoefficient,
-    DimensionMismatch,
-    DomainError,
-    InvalidSpectrum,
-)
+from .algebra import QRegime, classify_q, q_trace_term
+from .errors import DegenerateCoefficient, DomainError, InvalidSpectrum
 from .hermitian import (
     DensityMatrix,
     HermitianMatrix,
-    center,
+    _centred,
+    _centred_variance,
     eigenbasis_elements,
-    variance,
 )
 
 # Coefficient denominators below this magnitude are flagged infinite.
@@ -53,19 +50,15 @@ def robertson_bound(
     Centring drops out of a commutator trace, so the raw observables are
     used directly.
     """
-    term = _plain_commutator_trace(state, a, b)
-    return 0.25 * abs(term) ** 2
+    return _traces(state, a, b).robertson()
 
 
 def naive_q_bound(
     state: DensityMatrix, a: HermitianMatrix, b: HermitianMatrix, q: float
 ) -> float:
     """Return the unrefined deformed bound |Tr[rho [A0,B0]_|q|]|^2 / (1+|q|)^2."""
-    aq = abs(QParameter(q).q)
-    a0 = center(state, a)
-    b0 = center(state, b)
-    term = q_trace_term(state, a0, b0, aq)
-    return abs(term) ** 2 / (1.0 + aq) ** 2
+    classify_q(q)  # rejects non-finite q
+    return _traces(state, a, b).naive(abs(float(q)))
 
 
 def refined_coefficient(q: float, lambda_min: float, lambda_max: float) -> float:
@@ -88,7 +81,8 @@ def refined_coefficient(q: float, lambda_min: float, lambda_max: float) -> float
         ``math.inf`` flags a denominator magnitude below
         ``DEGENERATE_DENOMINATOR``.
     """
-    aq = abs(QParameter(q).q)
+    classify_q(q)  # rejects non-finite q
+    aq = abs(float(q))
     if not (0.0 <= lambda_min <= lambda_max) or lambda_max <= 0.0:
         raise InvalidSpectrum(
             f"need 0 <= lambda_min <= lambda_max with lambda_max > 0, "
@@ -113,44 +107,15 @@ def refined_q_bound(
 ) -> float:
     """Return the eigenvalue-weighted lower bound on V(A) V(B).
 
-    Dispatches on the regime of q:
-
-    * ``0 < q <= 1`` — coefficient times |Tr[rho [A0,B0]_q]|^2;
-    * ``q > 1`` — the |q| > 1 coefficient times |Tr[rho [B0,A0]_q]|^2;
-    * ``q = 0`` — |Tr[rho A0 B0]|^2;
-    * ``-1 <= q < 0`` — coefficient(|q|) times |Tr[rho {A0,B0}_q]|^2;
-    * ``q < -1`` — the |q| > 1 coefficient times |Tr[rho {B0,A0}_q]|^2.
+    That is ``refined_coefficient(|q|)`` times |Tr[rho [A0,B0]_|q|]|^2,
+    with A0 and B0 swapped when |q| > 1.  Negative q needs only |q|,
+    because {A0,B0}_q = [A0,B0]_|q| for q < 0; q = 0 gives |Tr[rho A0 B0]|^2.
 
     A flagged-infinite coefficient is only reachable when the matching
     trace term vanishes, in which case the bound is defined as zero; a
     non-vanishing term there raises ``DegenerateCoefficient``.
     """
-    param = QParameter(q)
-    aq = abs(param.q)
-    a0 = center(state, a)
-    b0 = center(state, b)
-    # Negative q turns the bracket into the anti-commutator; numerically
-    # {X,Y}_q = [X,Y]_{-q} holds bit for bit, so each arm reduces to the
-    # |q|-weighted bracket of the appropriately ordered operands.
-    if param.regime is QRegime.POSITIVE_LEQ_ONE:
-        term = q_trace_term(state, a0, b0, aq)
-    elif param.regime is QRegime.POSITIVE_GT_ONE:
-        term = q_trace_term(state, b0, a0, aq)
-    elif param.regime is QRegime.ZERO:
-        term = q_trace_term(state, a0, b0, 0.0)
-    elif param.regime is QRegime.NEGATIVE_GEQ_MINUS_ONE:
-        term = q_trace_term(state, a0, b0, aq)
-    else:
-        term = q_trace_term(state, b0, a0, aq)
-    coefficient = refined_coefficient(aq, state.lambda_min, state.lambda_max)
-    magnitude = abs(term)
-    if math.isinf(coefficient):
-        if magnitude < DEGENERATE_TERM:
-            return 0.0
-        raise DegenerateCoefficient(
-            f"infinite coefficient with trace term {magnitude!r} at q={param.q!r}"
-        )
-    return coefficient * magnitude**2
+    return _traces(state, a, b).refined(float(q))
 
 
 def refined_commutator_bound(
@@ -161,15 +126,7 @@ def refined_commutator_bound(
     Identical to ``refined_q_bound(state, a, b, 1.0)`` up to rounding,
     since centring shifts cancel inside a commutator trace.
     """
-    coefficient = refined_coefficient(1.0, state.lambda_min, state.lambda_max)
-    magnitude = abs(_plain_commutator_trace(state, a, b))
-    if math.isinf(coefficient):
-        if magnitude < DEGENERATE_TERM:
-            return 0.0
-        raise DegenerateCoefficient(
-            f"infinite coefficient with trace term {magnitude!r} at q=1.0"
-        )
-    return coefficient * magnitude**2
+    return _traces(state, a, b).refined_commutator()
 
 
 def weight_ratio_sq(t, q):
@@ -215,10 +172,10 @@ def schwarz_split(
     with the matrix elements taken in the state's eigenbasis; lhs <= rhs
     up to float noise.
     """
-    param = QParameter(q)
-    aq = abs(param.q)
+    classify_q(q)  # rejects non-finite q
+    aq = abs(float(q))
     if aq > 1.0:
-        raise DomainError(f"|q| must be <= 1, got {param.q!r}")
+        raise DomainError(f"|q| must be <= 1, got {float(q)!r}")
     term = q_trace_term(state, a0, b0, aq)
     lhs = abs(term) ** 2
     lam = state.eigenvalues
@@ -258,38 +215,92 @@ def bound_report(
     state: DensityMatrix, a: HermitianMatrix, b: HermitianMatrix, q: float
 ) -> BoundReport:
     """Evaluate all bounds on one instance and package them consistently."""
-    param = QParameter(q)
-    var_a = variance(state, a)
-    var_b = variance(state, b)
-    product = var_a * var_b
-    refined = refined_q_bound(state, a, b, param.q)
-    return BoundReport(
+    return _report(_traces(state, a, b), q)
+
+
+class _Traces(NamedTuple):
+    """One evaluation pass over an instance, which every bound reads."""
+
+    dim: int
+    var_a: float
+    var_b: float
+    # NumPy scalars, so each bracket rounds exactly as in q_trace_term.
+    forward: complex  # Tr[rho A0 B0] of the centred observables
+    backward: complex  # Tr[rho B0 A0]
+    commutator: complex  # Tr[rho [A,B]] of the raw observables
+    lambda_min: float
+    lambda_max: float
+
+    def robertson(self) -> float:
+        return 0.25 * abs(self.commutator) ** 2
+
+    def naive(self, aq: float) -> float:
+        return abs(complex(self.forward - aq * self.backward)) ** 2 / (1.0 + aq) ** 2
+
+    def refined(self, q: float) -> float:
+        aq = abs(q)
+        coefficient = refined_coefficient(aq, self.lambda_min, self.lambda_max)
+        if aq > 1.0:
+            term = complex(self.backward - aq * self.forward)
+        else:
+            term = complex(self.forward - aq * self.backward)
+        return _weighted(coefficient, term, q)
+
+    def refined_commutator(self) -> float:
+        coefficient = refined_coefficient(1.0, self.lambda_min, self.lambda_max)
+        return _weighted(coefficient, self.commutator, 1.0)
+
+
+def _weighted(coefficient: float, term: complex, q: float) -> float:
+    magnitude = abs(term)
+    if math.isinf(coefficient):
+        if magnitude < DEGENERATE_TERM:
+            return 0.0
+        raise DegenerateCoefficient(
+            f"infinite coefficient with trace term {magnitude!r} at q={q!r}"
+        )
+    return coefficient * magnitude**2
+
+
+def _traces(state: DensityMatrix, a: HermitianMatrix, b: HermitianMatrix) -> _Traces:
+    # Centring checks both dimensions against the state.
+    a0 = _centred(state, a)
+    b0 = _centred(state, b)
+    return _Traces(
         dim=state.dim,
-        q=param.q,
-        regime=param.regime,
-        var_a=var_a,
-        var_b=var_b,
-        product=product,
+        var_a=_centred_variance(state, a0),
+        var_b=_centred_variance(state, b0),
+        forward=_trace3(state, a0, b0),
+        backward=_trace3(state, b0, a0),
+        commutator=complex(
+            _trace3(state, a.mat, b.mat) - _trace3(state, b.mat, a.mat)
+        ),
         lambda_min=state.lambda_min,
         lambda_max=state.lambda_max,
-        robertson=robertson_bound(state, a, b),
-        naive_q=naive_q_bound(state, a, b, param.q),
-        refined=refined,
-        refined_commutator=(
-            refined_commutator_bound(state, a, b) if param.q == 1.0 else None
-        ),
-        slack=product - refined,
-        ratio=None if product < RATIO_FLOOR else refined / product,
     )
 
 
-def _plain_commutator_trace(
-    state: DensityMatrix, a: HermitianMatrix, b: HermitianMatrix
-) -> complex:
-    if a.dim != b.dim or a.dim != state.dim:
-        raise DimensionMismatch(
-            f"dims disagree: state {state.dim}, a {a.dim}, b {b.dim}"
-        )
-    forward = np.einsum("ij,jk,ki->", state.mat, a.mat, b.mat)
-    backward = np.einsum("ij,jk,ki->", state.mat, b.mat, a.mat)
-    return complex(forward - backward)
+def _trace3(state: DensityMatrix, x: np.ndarray, y: np.ndarray) -> complex:
+    return np.einsum("ij,jk,ki->", state.mat, x, y)
+
+
+def _report(t: _Traces, q: float) -> BoundReport:
+    q = float(q)
+    product = t.var_a * t.var_b
+    refined = t.refined(q)
+    return BoundReport(
+        dim=t.dim,
+        q=q,
+        regime=classify_q(q),
+        var_a=t.var_a,
+        var_b=t.var_b,
+        product=product,
+        lambda_min=t.lambda_min,
+        lambda_max=t.lambda_max,
+        robertson=t.robertson(),
+        naive_q=t.naive(abs(q)),
+        refined=refined,
+        refined_commutator=t.refined_commutator() if q == 1.0 else None,
+        slack=product - refined,
+        ratio=None if product < RATIO_FLOOR else refined / product,
+    )

@@ -206,16 +206,23 @@ def expectation(state: DensityMatrix, obs: HermitianMatrix) -> float:
 
 def center(state: DensityMatrix, obs: HermitianMatrix) -> HermitianMatrix:
     """Shift ``obs`` by its expectation so the centred mean vanishes."""
-    _check_same_dim(state, obs)
-    mean = expectation(state, obs)
-    shifted = obs.mat.copy()
-    np.fill_diagonal(shifted, np.diagonal(shifted) - mean)
-    return HermitianMatrix(shifted)
+    return HermitianMatrix(_centred(state, obs))
 
 
 def variance(state: DensityMatrix, obs: HermitianMatrix) -> float:
     """Return Tr[rho A0^2] for the centred observable A0, clamped at zero."""
-    a0 = center(state, obs).mat
+    return _centred_variance(state, _centred(state, obs))
+
+
+def _centred(state: DensityMatrix, obs: HermitianMatrix) -> np.ndarray:
+    # The one centring routine.  A real shift of the diagonal keeps a
+    # Hermitian matrix Hermitian, so internal callers skip re-validation.
+    shifted = obs.mat.copy()
+    np.fill_diagonal(shifted, np.diagonal(shifted) - expectation(state, obs))
+    return shifted
+
+
+def _centred_variance(state: DensityMatrix, a0: np.ndarray) -> float:
     second = float(np.einsum("ij,jk,ki->", state.mat, a0, a0).real)
     return max(second, 0.0)
 

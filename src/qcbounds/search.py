@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import RATIO_FLOOR, BoundReport, bound_report, refined_q_bound
+from .bounds import BoundReport, _report, _traces, bound_report
 from .errors import (
     BudgetZero,
     DomainError,
@@ -26,7 +26,6 @@ from .hermitian import (
     HermitianMatrix,
     density_from_decomposition,
     make_hermitian,
-    variance,
 )
 from .instances import instance_payload
 
@@ -59,10 +58,7 @@ def tightness_ratio(
     state: DensityMatrix, a: HermitianMatrix, b: HermitianMatrix, q: float
 ) -> float | None:
     """Return refined bound / variance product, or None below the floor."""
-    product = variance(state, a) * variance(state, b)
-    if product < RATIO_FLOOR:
-        return None
-    return refined_q_bound(state, a, b, q) / product
+    return bound_report(state, a, b, q).ratio
 
 
 def sweep_q(
@@ -75,7 +71,8 @@ def sweep_q(
     grid = [float(q) for q in q_grid]
     if not grid:
         raise DomainError("q grid must not be empty")
-    return [bound_report(state, a, b, q) for q in grid]
+    traces = _traces(state, a, b)  # one pass; each q is then O(1)
+    return [_report(traces, q) for q in grid]
 
 
 def maximize_tightness(

@@ -22,7 +22,6 @@ def test_regime_classification():
     }
     for q, regime in cases.items():
         assert qc.classify_q(q) is regime
-        assert qc.QParameter(q).regime is regime
 
 
 def test_classify_q_rejects_non_finite():

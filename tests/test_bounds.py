@@ -126,8 +126,8 @@ def test_refined_commutator_matches_refined_at_one(seed, n):
 )
 @settings(max_examples=40, deadline=None)
 def test_dispatch_equals_weighted_bracket_form(seed, n, q):
-    # The five regime arms must agree with the two-branch |q| form applied
-    # to the appropriately ordered operands.
+    # The refined bound must agree with the two-branch |q| form applied to
+    # the appropriately ordered operands, evaluated through q_trace_term.
     state, a, b = random_instance(seed, n)
     a0, b0 = qc.center(state, a), qc.center(state, b)
     aq = abs(q)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,6 +8,15 @@ import pytest
 
 import qcbounds as qc
 from qcbounds.cli import CSV_COLUMNS, main
+
+
+# sha256 of two record streams, pinned so that a refactor of the bound
+# evaluation cannot change an emitted byte unnoticed.  They hold for the
+# installed NumPy 2.4.6: random_density draws its frame through qr and
+# make_density decomposes through eigh, both LAPACK, whose rounding may
+# differ under another NumPy or BLAS build.
+VERIFY_CSV_SHA256 = "d4d42239af2f5bb0114aed028bd7c558141ce556bfd96a90a75c525a4b532926"
+SWEEP_JSON_SHA256 = "3424150cd3903dd83462ebf667205290ce72d49a98bcc845db72bca06a737f03"
 
 
 def run_cli(*args):
@@ -180,3 +190,30 @@ def test_module_entry_point_runs():
     assert proc.returncode == 0
     assert proc.stdout.startswith(",".join(CSV_COLUMNS))
     assert len(proc.stdout.splitlines()) == 4
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_verify_csv_golden_digest(tmp_path):
+    out = tmp_path / "golden.csv"
+    assert run_cli("verify", "--dims", "1,2,3,8", "--trials", "32",
+                   "--rank-policy", "mixed", "--seed", "7", "--format", "csv",
+                   "--out", out) == 0
+    assert sha256_of(out) == VERIFY_CSV_SHA256
+
+
+def test_sweep_json_golden_digest(tmp_path):
+    rng = qc.SeededRng(2024, 0)
+    instance = tmp_path / "instance.json"
+    qc.save_instance(
+        instance,
+        qc.random_density(3, 3, rng.split(0)),
+        qc.random_hermitian(3, rng.split(1)),
+        qc.random_hermitian(3, rng.split(2)),
+    )
+    out = tmp_path / "golden.ndjson"
+    assert run_cli("sweep", instance, "--q-lo", "-3", "--q-hi", "3",
+                   "--steps", "61", "--format", "json", "--out", out) == 0
+    assert sha256_of(out) == SWEEP_JSON_SHA256

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcbounds as qc
 from qcbounds.errors import BudgetZero, DomainError, InvalidDimension
@@ -82,3 +86,47 @@ def test_search_best_ratio_recomputes():
     report = qc.bound_report(state, a, b, q)
     assert report.ratio is not None
     assert result.best_ratio == pytest.approx(report.ratio, abs=1e-12)
+
+
+# q values where the bracket, the operand swap or the coefficient changes
+# form, plus the floats on either side of |q| = 1.
+EDGE_Q = [
+    sign * q
+    for sign in (1.0, -1.0)
+    for q in (0.0, 1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 3.0)
+]
+
+
+@st.composite
+def edge_instances(draw):
+    n = draw(st.integers(1, 5))
+    rank = n if n == 1 or draw(st.booleans()) else draw(st.integers(1, n - 1))
+    state, a, b = random_instance(draw(st.integers(0, 2**32)), n, rank)
+    drawn = draw(st.lists(st.floats(-4, 4, allow_nan=False), max_size=4))
+    return state, a, b, EDGE_Q + drawn
+
+
+@given(edge_instances())
+@settings(max_examples=40, deadline=None)
+def test_sweep_equals_bound_report_bitwise(instance):
+    state, a, b, grid = instance
+    for swept, q in zip(qc.sweep_q(state, a, b, grid), grid, strict=True):
+        report = qc.bound_report(state, a, b, q)
+        assert swept == report
+        # repr also tells -0.0 from 0.0, as the emitted records do.
+        assert repr(swept) == repr(report)
+
+
+@given(edge_instances())
+@settings(max_examples=40, deadline=None)
+def test_bound_functions_equal_report_fields_bitwise(instance):
+    state, a, b, grid = instance
+    at_one = qc.bound_report(state, a, b, 1.0)
+    assert qc.refined_commutator_bound(state, a, b) == at_one.refined_commutator
+    assert qc.robertson_bound(state, a, b) == at_one.robertson
+    for q in grid:
+        report = qc.bound_report(state, a, b, q)
+        assert qc.refined_q_bound(state, a, b, q) == report.refined
+        assert qc.naive_q_bound(state, a, b, q) == report.naive_q
+        assert qc.robertson_bound(state, a, b) == report.robertson
+        assert qc.tightness_ratio(state, a, b, q) == report.ratio
