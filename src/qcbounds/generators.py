@@ -16,8 +16,9 @@ from .errors import DomainError, InvalidDimension, InvalidRank
 from .hermitian import (
     DensityMatrix,
     HermitianMatrix,
+    _unchecked_density,
+    _unchecked_hermitian,
     density_from_decomposition,
-    make_hermitian,
 )
 
 _UINT64_BOUND = 2**64
@@ -53,7 +54,12 @@ class SeededRng:
         """Return the independent sub-stream at ``index`` under this one."""
         if not isinstance(index, (int, np.integer)) or index < 0:
             raise DomainError("split index must be a nonnegative integer")
-        return SeededRng(self.seed, self.stream, self.path + (int(index),))
+        # seed, stream and path were validated when this value was built.
+        child = object.__new__(SeededRng)
+        object.__setattr__(child, "seed", self.seed)
+        object.__setattr__(child, "stream", self.stream)
+        object.__setattr__(child, "path", self.path + (int(index),))
+        return child
 
     def generator(self) -> np.random.Generator:
         """Return a fresh generator positioned at the start of the stream."""
@@ -69,7 +75,7 @@ def random_hermitian(n: int, rng: SeededRng) -> HermitianMatrix:
         raise InvalidDimension(f"n must be >= 1, got {n}")
     g = rng.generator()
     raw = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
-    return make_hermitian((raw + raw.conj().T) / 2.0)
+    return _unchecked_hermitian(raw)
 
 
 def random_density(n: int, rank: int, rng: SeededRng) -> DensityMatrix:
@@ -101,7 +107,7 @@ def random_density(n: int, rank: int, rng: SeededRng) -> DensityMatrix:
     spectrum[n - rank :] = g.dirichlet(np.ones(rank))
     spectrum.sort()
     frame = _random_unitary(n, g)
-    return density_from_decomposition(spectrum, frame)
+    return _unchecked_density(spectrum, frame)
 
 
 def maximally_mixed(n: int) -> DensityMatrix:

@@ -2,9 +2,33 @@
 
 All bound computations in this package start from two value types defined
 here: :class:`HermitianMatrix` for observables and :class:`DensityMatrix`
-for states.  Both validate on construction and hold read-only arrays, so a
-value that exists is safe to compute with.  The density matrix also carries
-its eigendecomposition, which the bound coefficients need.
+for states.  Both hold read-only arrays, and the density matrix also
+carries its eigendecomposition, which the bound coefficients need.
+
+Validation happens once, at the trust boundary.  The dataclass
+constructors, :func:`make_hermitian`, :func:`make_density` and
+:func:`density_from_decomposition` check every input, and
+``instances.load_instance`` builds through them.  Instances the package
+builds itself are valid by construction, so two internal constructors
+skip the checks and keep only the arithmetic:
+
+* :func:`_unchecked_hermitian` symmetrises a complex square matrix as
+  :func:`make_hermitian` does; the caller guarantees it is finite and
+  Hermitian within tolerance.  Callers: ``generators.random_hermitian``
+  (a Gaussian matrix ``M``, giving ``(M + M†) / 2``) and
+  ``search._decode`` (each entry below the diagonal written as the
+  conjugate of the one above it).
+* :func:`_unchecked_density` builds a state from a spectrum and a frame
+  as :func:`density_from_decomposition` does; the caller guarantees a
+  finite, nonnegative, ascending spectrum summing to one within rounding
+  and a frame unitary within rounding.  Callers:
+  ``generators.random_density`` (Dirichlet spectrum, sorted; frame from
+  QR) and ``search._decode`` (softmax spectrum, sorted; frame the
+  exponential of ``i`` times a Hermitian matrix).
+
+Both produce bitwise the values the validating path would, and make the
+stored arrays read-only; ``_unchecked_density`` keeps the given frame
+array itself, so its caller hands it over.
 """
 
 from __future__ import annotations
@@ -180,6 +204,33 @@ def make_density(raw) -> DensityMatrix:
     rebuilt = (frame * vals) @ frame.conj().T
     rebuilt = (rebuilt + rebuilt.conj().T) / 2.0
     return DensityMatrix(rebuilt, vals, frame)
+
+
+def _unchecked_hermitian(raw: np.ndarray) -> HermitianMatrix:
+    # make_hermitian without the checks.  The symmetrisation stays: the
+    # complex division by 2.0 can flip the sign of a zero part, so it is
+    # not a bitwise no-op on every Hermitian input.
+    mat = (raw + raw.conj().T) / 2.0
+    mat.setflags(write=False)
+    out = object.__new__(HermitianMatrix)
+    object.__setattr__(out, "mat", mat)
+    return out
+
+
+def _unchecked_density(vals: np.ndarray, frame: np.ndarray) -> DensityMatrix:
+    # Same arithmetic as density_from_decomposition followed by
+    # DensityMatrix.__post_init__, without the checks: the caller
+    # guarantees the invariants listed in the module docstring.
+    mat = (frame * vals) @ frame.conj().T
+    mat = (mat + mat.conj().T) / 2.0
+    vals = vals / float(vals.sum())
+    for arr in (mat, vals, frame):
+        arr.setflags(write=False)
+    out = object.__new__(DensityMatrix)
+    object.__setattr__(out, "mat", mat)
+    object.__setattr__(out, "eigenvalues", vals)
+    object.__setattr__(out, "eigenvectors", frame)
+    return out
 
 
 def density_from_decomposition(eigenvalues, eigenvectors) -> DensityMatrix:

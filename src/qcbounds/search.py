@@ -10,6 +10,7 @@ offending instance attached to the raised error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -24,8 +25,8 @@ from .generators import SeededRng
 from .hermitian import (
     DensityMatrix,
     HermitianMatrix,
-    density_from_decomposition,
-    make_hermitian,
+    _unchecked_density,
+    _unchecked_hermitian,
 )
 from .instances import instance_payload
 
@@ -151,23 +152,39 @@ def _decode(
     shifted = np.exp(logits - logits.max())
     spectrum = np.sort(shifted / shifted.sum())
     frame = _unitary_from_reals(theta[n : n + k], n)
-    a = make_hermitian(_hermitian_from_reals(theta[n + k : n + 2 * k], n))
-    b = make_hermitian(_hermitian_from_reals(theta[n + 2 * k :], n))
-    return density_from_decomposition(spectrum, frame), a, b
+    a = _unchecked_hermitian(_hermitian_from_reals(theta[n + k : n + 2 * k], n))
+    b = _unchecked_hermitian(_hermitian_from_reals(theta[n + 2 * k :], n))
+    return _unchecked_density(spectrum, frame), a, b
 
 
 def _hermitian_from_reals(vec: np.ndarray, n: int) -> np.ndarray:
-    mat = np.zeros((n, n), dtype=complex)
-    idx = 0
-    for i in range(n):
-        mat[i, i] = vec[idx]
-        idx += 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            mat[i, j] = complex(vec[idx], vec[idx + 1])
-            mat[j, i] = mat[i, j].conjugate()
-            idx += 2
-    return mat
+    # Coordinate layout of the n*n reals: vec[:n] is the real diagonal,
+    # then one (Re m_ij, Im m_ij) pair per i < j in row-major order; m_ji
+    # is the conjugate of m_ij.  Entries are written as real and imaginary
+    # parts through the matrix's float view, never as ``re + 1j*im``, so a
+    # -0.0 or huge coordinate lands exactly as ``complex(re, im)`` puts it.
+    dest, src, sign = _scatter_plan(n)
+    flat = np.zeros(2 * n * n)
+    flat[dest] = vec[src] * sign
+    return flat.view(complex).reshape(n, n)
+
+
+@cache
+def _scatter_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Index arrays of _hermitian_from_reals: float-view position, source
+    # coordinate and sign (-1 only for Im m_ji) of every nonzero part.
+    rows, cols = np.triu_indices(n, 1)
+    pairs = n + 2 * np.arange(rows.size)
+    diag = 2 * (n + 1) * np.arange(n)
+    upper = 2 * (rows * n + cols)
+    lower = 2 * (cols * n + rows)
+    dest = np.concatenate((diag, upper, upper + 1, lower, lower + 1))
+    src = np.concatenate((np.arange(n), pairs, pairs + 1, pairs, pairs + 1))
+    sign = np.ones(dest.size)
+    sign[dest.size - rows.size :] = -1.0
+    for arr in (dest, src, sign):
+        arr.setflags(write=False)
+    return dest, src, sign
 
 
 def _unitary_from_reals(vec: np.ndarray, n: int) -> np.ndarray:

@@ -10,13 +10,15 @@ import qcbounds as qc
 from qcbounds.cli import CSV_COLUMNS, main
 
 
-# sha256 of two record streams, pinned so that a refactor of the bound
-# evaluation cannot change an emitted byte unnoticed.  They hold for the
-# installed NumPy 2.4.6: random_density draws its frame through qr and
-# make_density decomposes through eigh, both LAPACK, whose rounding may
-# differ under another NumPy or BLAS build.
+# sha256 of three output streams, pinned so that a refactor of instance
+# construction or bound evaluation cannot change an emitted byte
+# unnoticed.  They hold for the installed NumPy 2.4.6: random_density
+# draws its frame through qr, make_density and the search decoder
+# decompose through eigh, all LAPACK, whose rounding may differ under
+# another NumPy or BLAS build.
 VERIFY_CSV_SHA256 = "d4d42239af2f5bb0114aed028bd7c558141ce556bfd96a90a75c525a4b532926"
 SWEEP_JSON_SHA256 = "3424150cd3903dd83462ebf667205290ce72d49a98bcc845db72bca06a737f03"
+SEARCH_JSON_SHA256 = "8e11d9cfb486cf0aa84765bc86a1afca78ae14d368dc2f61d2fad2a3d098813e"
 
 
 def run_cli(*args):
@@ -217,3 +219,11 @@ def test_sweep_json_golden_digest(tmp_path):
     assert run_cli("sweep", instance, "--q-lo", "-3", "--q-hi", "3",
                    "--steps", "61", "--format", "json", "--out", out) == 0
     assert sha256_of(out) == SWEEP_JSON_SHA256
+
+
+def test_search_json_golden_digest(tmp_path, capsys):
+    out = tmp_path / "golden.json"
+    assert run_cli("search", "--n", "3", "--q", "0.5", "--budget", "400",
+                   "--seed", "11", "--out", out) == 0
+    capsys.readouterr()
+    assert sha256_of(out) == SEARCH_JSON_SHA256

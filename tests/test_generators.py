@@ -14,8 +14,9 @@ def test_rng_requires_unsigned_64bit():
         qc.SeededRng(2**64)
     with pytest.raises(DomainError):
         qc.SeededRng(0, -3)
-    with pytest.raises(DomainError):
-        qc.SeededRng(0).split(-1)
+    for index in (-1, 1.0, 0.5, "1", None):
+        with pytest.raises(DomainError):
+            qc.SeededRng(0).split(index)
 
 
 def test_rng_streams_are_reproducible():
@@ -34,6 +35,15 @@ def test_rng_split_is_stable_and_nested():
     base = qc.SeededRng(9, 2)
     assert base.split(4) == qc.SeededRng(9, 2, (4,))
     assert base.split(4).split(1) == qc.SeededRng(9, 2, (4, 1))
+    # split builds its child without re-validating; the child must still
+    # equal, hash and draw like the validated value, with a plain-int path.
+    chained = base.split(4).split(np.int64(1))
+    direct = qc.SeededRng(9, 2, (4, 1))
+    assert hash(chained) == hash(direct)
+    assert type(chained.path[1]) is int
+    assert np.array_equal(
+        chained.generator().standard_normal(4), direct.generator().standard_normal(4)
+    )
     direct = base.split(3).generator().standard_normal(4)
     again = base.split(3).generator().standard_normal(4)
     assert np.array_equal(direct, again)
