@@ -17,7 +17,6 @@ import argparse
 import contextlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from .bounds import BoundReport, bound_report
 from .errors import QcboundsError
-from .generators import SeededRng, random_density, random_hermitian
+from .generators import SeededRng, _derived_streams, random_density, random_hermitian
 from .instances import instance_payload, load_instance, render_document
 from .search import maximize_tightness, sweep_q
 
@@ -49,6 +48,11 @@ CSV_COLUMNS = (
 BOUNDARY_Q = (-1.0, 0.0, 1.0)
 BOUNDARY_PERIOD = 16
 _UINT64_BOUND = 2**64
+# Trial ``index`` draws from ``SeededRng(seed, index).split(k)``: q for
+# k = 0, the rank for k = 1, the state for k = 2, A and B for k = 3 and 4.
+# The streams of this many consecutive trials are derived in one pass.
+_TRIAL_STREAMS = 5
+_CHUNK_TRIALS = 512
 
 
 @dataclass(frozen=True)
@@ -109,7 +113,11 @@ def main(argv=None) -> int:
 
 
 def cmd_verify(plan: TrialPlan, out=None, workers: int = 1) -> int:
-    """Run the Monte Carlo verification described by ``plan``."""
+    """Run the Monte Carlo verification described by ``plan``.
+
+    ``workers`` must be at least 1 but no longer changes scheduling or
+    output: the trials run in one loop, in index order.
+    """
     problems = plan.problems()
     if problems:
         for problem in problems:
@@ -119,27 +127,22 @@ def cmd_verify(plan: TrialPlan, out=None, workers: int = 1) -> int:
         print("invalid plan: workers must be >= 1", file=sys.stderr)
         return 2
 
-    trials = [
-        (dim, plan.trials_per_dim * pos + t)
-        for pos, dim in enumerate(plan.dims)
-        for t in range(plan.trials_per_dim)
-    ]
-
-    def run(trial: tuple[int, int]) -> _TrialOutcome:
-        return _run_trial(plan, *trial)
-
+    total = len(plan.dims) * plan.trials_per_dim
     violations: list[_TrialOutcome] = []
-    with _out_stream(out) as stream, contextlib.ExitStack() as stack:
+    with _out_stream(out) as stream:
         _emit_header(stream, plan.output_format)
-        if workers == 1:
-            outcomes = map(run, trials)
-        else:
-            pool = stack.enter_context(ThreadPoolExecutor(max_workers=workers))
-            outcomes = pool.map(run, trials)
-        for outcome in outcomes:
-            _emit_record(stream, plan.output_format, outcome.report, outcome.replay)
-            if outcome.violated:
-                violations.append(outcome)
+        for start in range(0, total, _CHUNK_TRIALS):
+            stop = min(start + _CHUNK_TRIALS, total)
+            indices = np.arange(start, stop, dtype=np.uint64)
+            streams = _derived_streams(plan.seed, indices, _TRIAL_STREAMS)
+            for index, trial_streams in zip(range(start, stop), streams):
+                dim = plan.dims[index // plan.trials_per_dim]
+                outcome = _run_trial(plan, dim, index, trial_streams)
+                _emit_record(
+                    stream, plan.output_format, outcome.report, outcome.replay
+                )
+                if outcome.violated:
+                    violations.append(outcome)
 
     for outcome in violations:
         path = Path(f"violation_{outcome.index}.json")
@@ -198,20 +201,20 @@ def cmd_search(n: int, q: float, budget: int, seed: int, out=None) -> int:
     return 0
 
 
-def _run_trial(plan: TrialPlan, dim: int, index: int) -> _TrialOutcome:
-    base = SeededRng(plan.seed, index)
+def _run_trial(plan: TrialPlan, dim: int, index: int, streams) -> _TrialOutcome:
+    q_stream, rank_stream, state_stream, a_stream, b_stream = streams
     slot = index % BOUNDARY_PERIOD
     if slot < len(BOUNDARY_Q):
         q = BOUNDARY_Q[slot]
     else:
-        q = float(base.split(0).generator().uniform(plan.q_lo, plan.q_hi))
+        q = float(q_stream.generator().uniform(plan.q_lo, plan.q_hi))
     if plan.rank_policy == "mixed" and index % 2 == 1 and dim >= 2:
-        rank = int(base.split(1).generator().integers(1, dim))
+        rank = int(rank_stream.generator().integers(1, dim))
     else:
         rank = dim
-    state = random_density(dim, rank, base.split(2))
-    a = random_hermitian(dim, base.split(3))
-    b = random_hermitian(dim, base.split(4))
+    state = random_density(dim, rank, state_stream)
+    a = random_hermitian(dim, a_stream)
+    b = random_hermitian(dim, b_stream)
     report = bound_report(state, a, b, q)
     violated = bool(report.slack < -plan.tolerance_rel * max(1.0, report.product))
     replay = None
@@ -292,7 +295,13 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--tolerance", type=float, default=1e-9)
     verify.add_argument("--format", choices=("csv", "json"), default="csv")
     verify.add_argument("--out", default=None)
-    verify.add_argument("--workers", type=int, default=1)
+    verify.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="must be >= 1; kept for old scripts, it no longer changes "
+        "scheduling or output",
+    )
     verify.set_defaults(handler=_handle_verify)
 
     sweep = sub.add_parser("sweep", help="evaluate one stored instance over a q grid")

@@ -2,12 +2,19 @@
 
 Randomness is counter-based: a :class:`SeededRng` names a deterministic
 stream by ``(seed, stream)`` plus an optional derivation path, and every
-consumer builds its own fresh generator from that name.  Parallel workers
-therefore reproduce the same draws no matter how trials are scheduled.
+consumer builds its own fresh generator from that name, so the draws do
+not depend on the order in which trials run.
+
+:meth:`SeededRng.generator` is the reference path.  ``verify`` derives the
+same streams in batches: the private kernel ``_spawn_words`` computes the
+PCG64 seed words of ``SeededRng(seed, index).split(k)`` for many indices
+in one vectorised pass, and each ``_DerivedStream`` builds from them the
+generator that :meth:`SeededRng.generator` would build, bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +29,15 @@ from .hermitian import (
 )
 
 _UINT64_BOUND = 2**64
+
+# NumPy's SeedSequence hash (O'Neill's seed_seq_fe), whose output NEP 19
+# keeps stable across NumPy releases.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_XSHIFT = 16
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 @dataclass(frozen=True)
@@ -67,6 +83,98 @@ class SeededRng:
             entropy=self.seed, spawn_key=(self.stream, *self.path)
         )
         return np.random.default_rng(key)
+
+
+class _DerivedStream:
+    """A stream whose PCG64 seed words were computed by ``_spawn_words``.
+
+    It stands in for the stream's SeedSequence: registered as NumPy's
+    ``ISeedSequence``, it hands PCG64 the precomputed words, and PCG64
+    seeds itself from them in C as it would from the SeedSequence.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise DomainError("a derived stream holds exactly four uint64 words")
+        return self.words
+
+    def generator(self) -> np.random.Generator:
+        """Return a fresh generator positioned at the start of the stream."""
+        _register_derived_stream()
+        return np.random.Generator(np.random.PCG64(self))
+
+
+@functools.cache
+def _register_derived_stream() -> None:
+    # Deferred to first use: a module-level import of numpy.random would
+    # add its import time to every start of the command line tool.
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_DerivedStream)
+
+
+def _derived_streams(
+    seed: int, indices: np.ndarray, splits: int
+) -> list[tuple[_DerivedStream, ...]]:
+    """Return, per index, the streams ``SeededRng(seed, index).split(k)``, k < splits."""
+    words = [_spawn_words(seed, indices, k) for k in range(splits)]
+    return list(zip(*(map(_DerivedStream, w) for w in words)))
+
+
+def _spawn_words(seed: int, indices: np.ndarray, k: int) -> np.ndarray:
+    """Return the PCG64 seed words of ``SeededRng(seed, i).split(k)`` per index i.
+
+    Row ``r`` equals ``np.random.SeedSequence(entropy=seed, spawn_key=(
+    indices[r], k)).generate_state(4, np.uint64)``: the same hash, run on
+    uint64 arrays under a 32-bit mask.  Only the index varies, so the
+    seed-only part of the pool stays scalar.  Every index and ``k`` must be
+    below 2**32, where each is one entropy word; larger ones raise.
+    """
+    seed = SeededRng(seed).seed
+    indices = np.asarray(indices, dtype=np.uint64)
+    if np.any(indices > _MASK32) or not 0 <= k <= _MASK32:
+        raise DomainError("batched stream indices must be below 2**32")
+    # Assembled entropy: the seed's one or two words, zero-padded to the
+    # pool size because a spawn key follows, then the spawn key.
+    entropy = [seed & _MASK32, seed >> 32, 0, 0, indices, k]
+    hashes = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hashmix(word, hashes) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], hashes))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, hashes))
+    hashes = _hash_constants(_INIT_B, _MULT_B)
+    state = [_hashmix(pool[i % _POOL_SIZE], hashes) for i in range(8)]
+    # Consecutive 32-bit words pair up little-endian into one uint64.
+    return np.stack([state[i] | state[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
+
+
+def _hash_constants(value: int, mult: int):
+    # The hash constant evolves independently of the data; yield the
+    # (xor, multiplier) pair of each successive hashmix step.
+    while True:
+        advanced = value * mult & _MASK32
+        yield value, advanced
+        value = advanced
+
+
+def _hashmix(value, hashes):
+    xor, mult = next(hashes)
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> _XSHIFT)
 
 
 def random_hermitian(n: int, rng: SeededRng) -> HermitianMatrix:

@@ -10,13 +10,17 @@ import qcbounds as qc
 from qcbounds.cli import CSV_COLUMNS, main
 
 
-# sha256 of three output streams, pinned so that a refactor of instance
-# construction or bound evaluation cannot change an emitted byte
-# unnoticed.  They hold for the installed NumPy 2.4.6: random_density
-# draws its frame through qr, make_density and the search decoder
-# decompose through eigh, all LAPACK, whose rounding may differ under
-# another NumPy or BLAS build.
+# sha256 of four output streams, pinned so that a refactor of stream
+# derivation, instance construction or bound evaluation cannot change an
+# emitted byte unnoticed.  The two verify digests cover a one-word seed (7)
+# and a two-word seed (2**64 - 1), whose streams verify derives in batches.
+# They hold for the installed NumPy 2.4.6: random_density draws its frame
+# through qr, make_density and the search decoder decompose through eigh,
+# all LAPACK, whose rounding may differ under another NumPy or BLAS build.
 VERIFY_CSV_SHA256 = "d4d42239af2f5bb0114aed028bd7c558141ce556bfd96a90a75c525a4b532926"
+VERIFY_WIDE_SEED_CSV_SHA256 = (
+    "53056b929e5cf3daeef605f48ddbb6daf45b32708ce6b8294e9f362c17b72f22"
+)
 SWEEP_JSON_SHA256 = "3424150cd3903dd83462ebf667205290ce72d49a98bcc845db72bca06a737f03"
 SEARCH_JSON_SHA256 = "8e11d9cfb486cf0aa84765bc86a1afca78ae14d368dc2f61d2fad2a3d098813e"
 
@@ -204,6 +208,25 @@ def test_verify_csv_golden_digest(tmp_path):
                    "--rank-policy", "mixed", "--seed", "7", "--format", "csv",
                    "--out", out) == 0
     assert sha256_of(out) == VERIFY_CSV_SHA256
+
+
+def test_verify_csv_golden_digest_two_word_seed(tmp_path):
+    out = tmp_path / "golden.csv"
+    assert run_cli("verify", "--dims", "2,3", "--trials", "40",
+                   "--rank-policy", "mixed", "--seed", 2**64 - 1,
+                   "--format", "csv", "--out", out) == 0
+    assert sha256_of(out) == VERIFY_WIDE_SEED_CSV_SHA256
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy.random is imported on the first draw, not at start-up.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qcbounds.cli; print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_sweep_json_golden_digest(tmp_path):

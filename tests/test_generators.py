@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import qcbounds as qc
 from qcbounds.errors import DomainError, InvalidDimension, InvalidRank
+from qcbounds.generators import _derived_streams, _DerivedStream, _spawn_words
 
 
 def test_rng_requires_unsigned_64bit():
@@ -121,3 +122,76 @@ def test_maximally_mixed_values():
     assert one.mat[0, 0] == pytest.approx(1.0)
     with pytest.raises(InvalidDimension):
         qc.maximally_mixed(0)
+
+
+# One- and two-word seeds (the split is at 2**32), and one-word indices.
+SEEDS = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]),
+                  st.integers(0, 2**64 - 1))
+INDICES = st.lists(
+    st.one_of(st.sampled_from([0, 1, 2**32 - 1]), st.integers(0, 2**32 - 1)),
+    min_size=1, max_size=6,
+)
+
+
+def seed_sequence_words(seed, index, k):
+    key = np.random.SeedSequence(entropy=seed, spawn_key=(index, k))
+    return key.generate_state(4, np.uint64)
+
+
+@given(SEEDS, INDICES, st.integers(0, 4))
+@settings(max_examples=150, deadline=None)
+def test_spawn_words_equal_seed_sequence_bitwise(seed, indices, k):
+    words = _spawn_words(seed, np.array(indices, dtype=np.uint64), k)
+    assert words.dtype == np.uint64
+    assert words.shape == (len(indices), 4)
+    for row, index in zip(words, indices):
+        assert row.tolist() == seed_sequence_words(seed, index, k).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+def test_spawn_words_equal_seed_sequence_at_word_edges(seed):
+    indices = [0, 1, 2**32 - 1]
+    for k in range(5):
+        words = _spawn_words(seed, np.array(indices, dtype=np.uint64), k)
+        expected = [seed_sequence_words(seed, i, k).tolist() for i in indices]
+        assert words.tolist() == expected
+
+
+@given(SEEDS, INDICES, st.integers(2, 9))
+@settings(max_examples=60, deadline=None)
+def test_derived_streams_draw_like_seeded_rng(seed, indices, n):
+    streams = _derived_streams(seed, np.array(indices, dtype=np.uint64), 5)
+    assert len(streams) == len(indices)
+    for index, trial_streams in zip(indices, streams):
+        for k, stream in enumerate(trial_streams):
+            derived = stream.generator()
+            reference = qc.SeededRng(seed, index).split(k).generator()
+            for draw in (
+                lambda g: g.standard_normal((n, n)),
+                lambda g: g.dirichlet(np.ones(n)),
+                lambda g: g.integers(1, n, size=3),
+                lambda g: g.uniform(-3.0, 3.0, size=3),
+            ):
+                assert draw(derived).tobytes() == draw(reference).tobytes()
+
+
+def test_spawn_words_reject_wide_indices():
+    with pytest.raises(DomainError):
+        _spawn_words(5, np.array([0, 2**32], dtype=np.uint64), 0)
+    with pytest.raises(DomainError):
+        _spawn_words(5, np.array([2**64 - 1], dtype=np.uint64), 2)
+    with pytest.raises(DomainError):
+        _spawn_words(5, np.array([3], dtype=np.uint64), 2**32)
+    for seed in (-1, 2**64, 5.0):
+        with pytest.raises(DomainError):
+            _spawn_words(seed, np.array([3], dtype=np.uint64), 0)
+    assert _spawn_words(5, np.array([], dtype=np.uint64), 0).shape == (0, 4)
+
+
+def test_derived_stream_serves_only_pcg64_seeding():
+    (stream,) = _derived_streams(3, np.array([7], dtype=np.uint64), 1)[0]
+    assert isinstance(stream, _DerivedStream)
+    with pytest.raises(DomainError):
+        stream.generate_state(8, np.uint32)
+    with pytest.raises(DomainError):
+        np.random.MT19937(stream)
