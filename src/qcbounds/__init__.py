@@ -12,17 +12,14 @@ from . import errors
 from .algebra import (
     QRegime,
     classify_q,
-    q_anticommutator,
     q_commutator,
     q_trace_term,
-    trace_form,
 )
 from .bounds import (
     BoundReport,
     bound_report,
     naive_q_bound,
     refined_coefficient,
-    refined_commutator_bound,
     refined_q_bound,
     robertson_bound,
     schwarz_split,
@@ -73,20 +70,17 @@ __all__ = [
     "maximize_tightness",
     "naive_q_bound",
     "payload_to_instance",
-    "q_anticommutator",
     "q_commutator",
     "q_trace_term",
     "random_density",
     "random_hermitian",
     "refined_coefficient",
-    "refined_commutator_bound",
     "refined_q_bound",
     "robertson_bound",
     "save_instance",
     "schwarz_split",
     "sweep_q",
     "tightness_ratio",
-    "trace_form",
     "variance",
     "weight_ratio_excess",
     "weight_ratio_sq",

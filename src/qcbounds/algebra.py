@@ -58,20 +58,6 @@ def q_commutator(a: HermitianMatrix, b: HermitianMatrix, q: float) -> np.ndarray
     return a.mat @ b.mat - q * (b.mat @ a.mat)
 
 
-def q_anticommutator(a: HermitianMatrix, b: HermitianMatrix, q: float) -> np.ndarray:
-    """Return AB + qBA.  Equals ``q_commutator(a, b, -q)`` bit for bit."""
-    _check_dims(a, b)
-    return a.mat @ b.mat + q * (b.mat @ a.mat)
-
-
-def trace_form(state: DensityMatrix, m) -> complex:
-    """Return Tr[rho M] for an arbitrary square complex matrix M."""
-    arr = np.asarray(m, dtype=complex)
-    if arr.shape != (state.dim, state.dim):
-        raise DimensionMismatch(f"matrix shape {arr.shape} vs state dim {state.dim}")
-    return complex(np.einsum("ij,ji->", state.mat, arr))
-
-
 def q_trace_term(
     state: DensityMatrix, a0: HermitianMatrix, b0: HermitianMatrix, q: float
 ) -> complex:

@@ -118,17 +118,6 @@ def refined_q_bound(
     return _traces(state, a, b).refined(float(q))
 
 
-def refined_commutator_bound(
-    state: DensityMatrix, a: HermitianMatrix, b: HermitianMatrix
-) -> float:
-    """Return the q = 1 refinement from the uncentred commutator trace.
-
-    Identical to ``refined_q_bound(state, a, b, 1.0)`` up to rounding,
-    since centring shifts cancel inside a commutator trace.
-    """
-    return _traces(state, a, b).refined_commutator()
-
-
 def weight_ratio_sq(t, q):
     """Return ((t - |q|) / (t + |q|))^2 elementwise for t >= 1.
 
@@ -191,8 +180,8 @@ def schwarz_split(
 class BoundReport:
     """Every bound evaluated on one (state, A, B, q) instance.
 
-    ``refined_commutator`` is populated only at q = 1; ``ratio`` is None
-    when the variance product sits below ``RATIO_FLOOR``.
+    ``refined`` is ``refined_q_bound`` at ``q``, including at q = 1;
+    ``ratio`` is None when the variance product sits below ``RATIO_FLOOR``.
     """
 
     dim: int
@@ -206,7 +195,6 @@ class BoundReport:
     robertson: float
     naive_q: float
     refined: float
-    refined_commutator: float | None
     slack: float
     ratio: float | None
 
@@ -244,22 +232,14 @@ class _Traces(NamedTuple):
             term = complex(self.backward - aq * self.forward)
         else:
             term = complex(self.forward - aq * self.backward)
-        return _weighted(coefficient, term, q)
-
-    def refined_commutator(self) -> float:
-        coefficient = refined_coefficient(1.0, self.lambda_min, self.lambda_max)
-        return _weighted(coefficient, self.commutator, 1.0)
-
-
-def _weighted(coefficient: float, term: complex, q: float) -> float:
-    magnitude = abs(term)
-    if math.isinf(coefficient):
-        if magnitude < DEGENERATE_TERM:
-            return 0.0
-        raise DegenerateCoefficient(
-            f"infinite coefficient with trace term {magnitude!r} at q={q!r}"
-        )
-    return coefficient * magnitude**2
+        magnitude = abs(term)
+        if math.isinf(coefficient):
+            if magnitude < DEGENERATE_TERM:
+                return 0.0
+            raise DegenerateCoefficient(
+                f"infinite coefficient with trace term {magnitude!r} at q={q!r}"
+            )
+        return coefficient * magnitude**2
 
 
 def _traces(state: DensityMatrix, a: HermitianMatrix, b: HermitianMatrix) -> _Traces:
@@ -300,7 +280,6 @@ def _report(t: _Traces, q: float) -> BoundReport:
         robertson=t.robertson(),
         naive_q=t.naive(abs(q)),
         refined=refined,
-        refined_commutator=t.refined_commutator() if q == 1.0 else None,
         slack=product - refined,
         ratio=None if product < RATIO_FLOOR else refined / product,
     )

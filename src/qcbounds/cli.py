@@ -112,19 +112,15 @@ def main(argv=None) -> int:
         return 2
 
 
-def cmd_verify(plan: TrialPlan, out=None, workers: int = 1) -> int:
+def cmd_verify(plan: TrialPlan, out=None) -> int:
     """Run the Monte Carlo verification described by ``plan``.
 
-    ``workers`` must be at least 1 but no longer changes scheduling or
-    output: the trials run in one loop, in index order.
+    The trials run in one loop, in index order.
     """
     problems = plan.problems()
     if problems:
         for problem in problems:
             print(f"invalid plan: {problem}", file=sys.stderr)
-        return 2
-    if workers < 1:
-        print("invalid plan: workers must be >= 1", file=sys.stderr)
         return 2
 
     total = len(plan.dims) * plan.trials_per_dim
@@ -325,6 +321,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _handle_verify(args) -> int:
+    if args.workers < 1:
+        print("invalid plan: workers must be >= 1", file=sys.stderr)
+        return 2
     plan = TrialPlan(
         dims=args.dims,
         trials_per_dim=args.trials,
@@ -335,7 +334,7 @@ def _handle_verify(args) -> int:
         tolerance_rel=args.tolerance,
         output_format=args.format,
     )
-    return cmd_verify(plan, out=args.out, workers=args.workers)
+    return cmd_verify(plan, out=args.out)
 
 
 def _handle_sweep(args) -> int:

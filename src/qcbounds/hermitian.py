@@ -14,17 +14,19 @@ skip the checks and keep only the arithmetic:
 
 * :func:`_unchecked_hermitian` symmetrises a complex square matrix as
   :func:`make_hermitian` does; the caller guarantees it is finite and
-  Hermitian within tolerance.  Callers: ``generators.random_hermitian``
-  (a Gaussian matrix ``M``, giving ``(M + M†) / 2``) and
-  ``search._decode`` (each entry below the diagonal written as the
-  conjugate of the one above it).
+  Hermitian within tolerance.  Callers: :func:`make_hermitian` (after
+  checking the raw input), ``generators.random_hermitian`` (a Gaussian
+  matrix ``M``, giving ``(M + M†) / 2``) and ``search._decode`` (each
+  entry below the diagonal written as the conjugate of the one above it).
 * :func:`_unchecked_density` builds a state from a spectrum and a frame
   as :func:`density_from_decomposition` does; the caller guarantees a
   finite, nonnegative, ascending spectrum summing to one within rounding
-  and a frame unitary within rounding.  Callers:
-  ``generators.random_density`` (Dirichlet spectrum, sorted; frame from
-  QR) and ``search._decode`` (softmax spectrum, sorted; frame the
-  exponential of ``i`` times a Hermitian matrix).
+  and a frame unitary within rounding.  Callers: :func:`make_density`
+  (after checking the raw input; the clamped, normalised spectrum and the
+  frame ``eigh`` returns), ``generators.random_density`` (Dirichlet
+  spectrum, sorted; frame from QR) and ``search._decode`` (softmax
+  spectrum, sorted; frame the exponential of ``i`` times a Hermitian
+  matrix).
 
 Both produce bitwise the values the validating path would, and make the
 stored arrays read-only; ``_unchecked_density`` keeps the given frame
@@ -61,9 +63,13 @@ def _as_square_complex(raw, name: str) -> np.ndarray:
     arr = np.asarray(raw, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise DimensionMismatch(f"{name} must be a square matrix, got shape {arr.shape}")
+    _check_finite(arr, name)
+    return arr
+
+
+def _check_finite(arr: np.ndarray, name: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise NonFinite(f"{name} contains non-finite entries")
-    return arr
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -176,7 +182,10 @@ def make_hermitian(raw) -> HermitianMatrix:
     arr = _as_square_complex(raw, "matrix")
     if _hermiticity_defect(arr) > HERMITICITY_RTOL:
         raise NotHermitian("matrix is not Hermitian within tolerance")
-    return HermitianMatrix((arr + arr.conj().T) / 2.0)
+    out = _unchecked_hermitian(arr)
+    # Entries near the float maximum can overflow in the symmetrisation.
+    _check_finite(out.mat, "matrix")
+    return out
 
 
 def make_density(raw) -> DensityMatrix:
@@ -195,21 +204,19 @@ def make_density(raw) -> DensityMatrix:
     trace = complex(np.trace(sym))
     if abs(trace - 1.0) > TRACE_ATOL:
         raise TraceNotOne(f"trace is {trace!r}")
+    _check_finite(sym, "density matrix")  # overflow, as in make_hermitian
     vals, frame = np.linalg.eigh(sym)
     low = float(vals[0])
     if low < -EIG_CLAMP:
         raise NotPositive(f"negative eigenvalue {low!r}")
     vals = np.where(vals < 0.0, 0.0, vals)
-    vals = vals / vals.sum()
-    rebuilt = (frame * vals) @ frame.conj().T
-    rebuilt = (rebuilt + rebuilt.conj().T) / 2.0
-    return DensityMatrix(rebuilt, vals, frame)
+    return _unchecked_density(vals / vals.sum(), frame)
 
 
 def _unchecked_hermitian(raw: np.ndarray) -> HermitianMatrix:
-    # make_hermitian without the checks.  The symmetrisation stays: the
-    # complex division by 2.0 can flip the sign of a zero part, so it is
-    # not a bitwise no-op on every Hermitian input.
+    # The arithmetic of make_hermitian, without its checks.  The
+    # symmetrisation stays: the complex division by 2.0 can flip the sign
+    # of a zero part, so it is not a bitwise no-op on every Hermitian input.
     mat = (raw + raw.conj().T) / 2.0
     mat.setflags(write=False)
     out = object.__new__(HermitianMatrix)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcbounds as qc
-from qcbounds.errors import DimensionMismatch, NonFinite
+from qcbounds.errors import NonFinite
 
 from conftest import eigenbasis_sum_term, random_instance
 
@@ -42,20 +42,6 @@ def test_q_commutator_at_zero(pauli_x, pauli_y):
 
 def test_anticommuting_paulis(pauli_x, pauli_y):
     assert np.allclose(qc.q_commutator(pauli_x, pauli_y, -1.0), np.zeros((2, 2)))
-    assert np.allclose(qc.q_anticommutator(pauli_x, pauli_y, 1.0), np.zeros((2, 2)))
-
-
-def test_anticommutator_of_square(pauli_z):
-    assert np.allclose(qc.q_anticommutator(pauli_z, pauli_z, 1.0), 2 * np.eye(2))
-
-
-@given(st.integers(0, 2**32), st.floats(-3, 3, allow_nan=False))
-@settings(max_examples=30, deadline=None)
-def test_anticommutator_is_negated_q_commutator(seed, q):
-    _, a, b = random_instance(seed, 3)
-    assert np.array_equal(
-        qc.q_anticommutator(a, b, q), qc.q_commutator(a, b, -q)
-    )
 
 
 @given(st.integers(0, 2**32), st.sampled_from([0.25, 0.5, 1.5, 2.0, 3.0]))
@@ -66,28 +52,6 @@ def test_inverse_parameter_swaps_operands(seed, q):
     rhs = -(1.0 / q) * qc.q_commutator(b, a, q)
     scale = max(1.0, np.max(np.abs(rhs)))
     assert np.max(np.abs(lhs - rhs)) < 1e-13 * scale
-
-
-def test_trace_form_examples(mixed_qubit):
-    assert qc.trace_form(mixed_qubit, np.eye(2)) == pytest.approx(1.0)
-    assert qc.trace_form(mixed_qubit, np.zeros((2, 2))) == 0.0
-    sz = np.diag([1.0, -1.0])
-    # With populations (0.25, 0.75): 2i(0.25 - 0.75) = -i.
-    assert qc.trace_form(mixed_qubit, 2j * sz) == pytest.approx(-1j)
-
-
-def test_trace_form_shape_check(mixed_qubit):
-    with pytest.raises(DimensionMismatch):
-        qc.trace_form(mixed_qubit, np.eye(3))
-
-
-@given(st.integers(0, 2**32))
-@settings(max_examples=20, deadline=None)
-def test_trace_form_is_linear(seed):
-    state, a, b = random_instance(seed, 3)
-    combined = qc.trace_form(state, 2.0 * a.mat + 3.0 * b.mat)
-    separate = 2.0 * qc.trace_form(state, a.mat) + 3.0 * qc.trace_form(state, b.mat)
-    assert combined == pytest.approx(separate, abs=1e-12)
 
 
 def test_q_trace_term_pauli_value(mixed_qubit, pauli_x, pauli_y):
@@ -135,5 +99,5 @@ def test_zero_operand_gives_zero(mixed_qubit, pauli_y):
 @settings(max_examples=20, deadline=None)
 def test_commutator_trace_is_imaginary(seed, n):
     state, a, b = random_instance(seed, n)
-    value = qc.trace_form(state, qc.q_commutator(a, b, 1.0))
+    value = complex(np.einsum("ij,ji->", state.mat, qc.q_commutator(a, b, 1.0)))
     assert abs(value.real) < 1e-12

@@ -90,7 +90,6 @@ def test_degenerate_coefficient_returns_zero_for_vanishing_term(pauli_x, pauli_y
     a = qc.make_hermitian(np.diag([1.0, 2.0, 3.0]))
     b = qc.random_hermitian(3, qc.SeededRng(8))
     assert qc.refined_q_bound(state, a, b, 1.0) == 0.0
-    assert qc.refined_commutator_bound(state, a, b) == 0.0
 
 
 def test_degenerate_coefficient_raises_on_inconsistent_term():
@@ -108,15 +107,6 @@ def test_degenerate_coefficient_raises_on_inconsistent_term():
     b = qc.make_hermitian(big * np.array([[0.0, -1.0j], [1.0j, 0.0]]))
     with pytest.raises(DegenerateCoefficient):
         qc.refined_q_bound(state, a, b, 1.0 + 1e-9)
-
-
-@given(st.integers(0, 2**32), st.integers(2, 5))
-@settings(max_examples=20, deadline=None)
-def test_refined_commutator_matches_refined_at_one(seed, n):
-    state, a, b = random_instance(seed, n)
-    via_q = qc.refined_q_bound(state, a, b, 1.0)
-    direct = qc.refined_commutator_bound(state, a, b)
-    assert direct == pytest.approx(via_q, abs=1e-12 * max(1.0, via_q))
 
 
 @given(
@@ -194,7 +184,6 @@ def test_report_pauli_fields(mixed_qubit, pauli_x, pauli_y):
     assert report.refined == pytest.approx(0.49)
     assert report.slack == pytest.approx(0.51)
     assert report.ratio == pytest.approx(0.49)
-    assert report.refined_commutator is None
     assert report.lambda_min == pytest.approx(0.25)
     assert report.lambda_max == pytest.approx(0.75)
 
@@ -204,7 +193,6 @@ def test_report_equality_instance(mixed_qubit, pauli_x, pauli_y):
     assert report.refined == pytest.approx(1.0)
     assert report.slack == pytest.approx(0.0, abs=1e-12)
     assert report.ratio == pytest.approx(1.0)
-    assert report.refined_commutator == pytest.approx(1.0)
 
 
 def test_report_zero_variance_has_no_ratio(pauli_z):

@@ -8,6 +8,7 @@ import pytest
 
 import qcbounds as qc
 from qcbounds.cli import CSV_COLUMNS, main
+from qcbounds.generators import _random_unitary
 
 
 # sha256 of four output streams, pinned so that a refactor of stream
@@ -91,6 +92,13 @@ def test_verify_byte_determinism_across_workers(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_verify_rejects_zero_workers(tmp_path, capsys):
+    out = tmp_path / "run.csv"
+    assert run_cli("verify", "--workers", "0", "--out", out) == 2
+    assert "invalid plan: workers must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_json_records(tmp_path):
     out = tmp_path / "run.ndjson"
     code = run_cli("verify", "--dims", "3", "--trials", "5", "--seed", "1",
@@ -150,6 +158,28 @@ def test_sweep_emitted_values_revalidate(pauli_file, tmp_path):
         q = float(row[1])
         expected = qc.refined_q_bound(state, a, b, q)
         assert float(row[10]) == pytest.approx(expected, abs=1e-12)
+
+
+def test_sweep_through_q_one_with_uniform_spectrum_and_shifted_observables(tmp_path):
+    # A uniform spectrum makes the q = 1 coefficient infinite, and the
+    # centred bracket vanishes to rounding, so the bound there is 0.  The
+    # observables are shifted by +-1000 I, which leaves the bound alone but
+    # makes the uncentred commutator trace 2.3e-10 from rounding.  Values
+    # pinned for the installed NumPy 2.4.6, as the golden digests below.
+    frame = _random_unitary(3, np.random.default_rng(9))
+    state = qc.density_from_decomposition(np.full(3, 1 / 3), frame)
+    shift = 1000.0 * np.eye(3)
+    a = qc.make_hermitian(10 * qc.random_hermitian(3, qc.SeededRng(9, 1)).mat + shift)
+    b = qc.make_hermitian(10 * qc.random_hermitian(3, qc.SeededRng(9, 2)).mat - shift)
+    report = qc.bound_report(state, a, b, 1.0)
+    assert report.refined == qc.refined_q_bound(state, a, b, 1.0) == 0.0
+
+    instance = tmp_path / "shifted.json"
+    qc.save_instance(instance, state, a, b)
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", instance, "--out", out) == 0
+    last = read_rows(out)[-1]
+    assert (last[1], last[10]) == ("1.0", "0.0")  # q and refined
 
 
 def test_sweep_malformed_file(tmp_path, capsys):

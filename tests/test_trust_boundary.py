@@ -16,8 +16,22 @@ from hypothesis import strategies as st
 
 import qcbounds as qc
 from qcbounds import search
-from qcbounds.errors import DimensionMismatch, InvalidSpectrum, NotHermitian
+from qcbounds.errors import (
+    DimensionMismatch,
+    InvalidSpectrum,
+    NotHermitian,
+    NotPositive,
+    QcboundsError,
+    TraceNotOne,
+)
 from qcbounds.generators import _random_unitary
+from qcbounds.hermitian import (
+    EIG_CLAMP,
+    HERMITICITY_RTOL,
+    TRACE_ATOL,
+    _as_square_complex,
+    _hermiticity_defect,
+)
 
 from conftest import random_instance
 
@@ -131,6 +145,101 @@ def test_generated_and_decoded_arrays_are_read_only():
             assert arr.flags.writeable is False
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+
+# Reference copies of make_hermitian and make_density as they were when
+# they built through the validating dataclass constructors, which checked
+# the symmetrised matrix, the spectrum and the eigh frame a second time.
+def validating_make_hermitian(raw):
+    arr = _as_square_complex(raw, "matrix")
+    if _hermiticity_defect(arr) > HERMITICITY_RTOL:
+        raise NotHermitian("matrix is not Hermitian within tolerance")
+    return qc.HermitianMatrix((arr + arr.conj().T) / 2.0)
+
+
+def validating_make_density(raw):
+    arr = _as_square_complex(raw, "density matrix")
+    if _hermiticity_defect(arr) > HERMITICITY_RTOL:
+        raise NotHermitian("density matrix is not Hermitian within tolerance")
+    sym = (arr + arr.conj().T) / 2.0
+    trace = complex(np.trace(sym))
+    if abs(trace - 1.0) > TRACE_ATOL:
+        raise TraceNotOne(f"trace is {trace!r}")
+    vals, frame = np.linalg.eigh(sym)
+    low = float(vals[0])
+    if low < -EIG_CLAMP:
+        raise NotPositive(f"negative eigenvalue {low!r}")
+    vals = np.where(vals < 0.0, 0.0, vals)
+    vals = vals / vals.sum()
+    rebuilt = (frame * vals) @ frame.conj().T
+    rebuilt = (rebuilt + rebuilt.conj().T) / 2.0
+    return qc.DensityMatrix(rebuilt, vals, frame)
+
+
+def outcome(build, raw):
+    """The bytes and write flags of every stored array, or the error type."""
+    try:
+        value = build(raw)
+    except QcboundsError as exc:
+        return type(exc)
+    return [(arr.tobytes(), arr.flags.writeable) for arr in arrays(value)]
+
+
+@st.composite
+def raw_matrices(draw):
+    """A state-like or observable-like matrix with non-Hermitian noise.
+
+    States have full or deficient rank, and their zero eigenvalues may be
+    moved into or just past the clamp window [-EIG_CLAMP, 0), with the
+    trace kept at one.  The anti-Hermitian noise makes the hermiticity
+    defect a chosen multiple of HERMITICITY_RTOL, on either side of it.
+    """
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 32]))
+    g = qc.SeededRng(draw(st.integers(0, 2**32)), 11).generator()
+    if draw(st.integers(0, 3)):
+        rank = draw(st.integers(1, n))
+        spectrum = np.zeros(n)
+        spectrum[n - rank :] = g.dirichlet(np.ones(rank))
+        for i in range(n - rank):
+            shift = draw(st.sampled_from([0.0, -0.0, 0.5, -0.5, -0.9]))
+            spectrum[i] = shift * EIG_CLAMP
+        if rank < n and draw(st.booleans()):
+            spectrum[0] = -2.0 * EIG_CLAMP
+        spectrum[-1] += 1.0 - spectrum.sum()
+    else:
+        spectrum = g.standard_normal(n) * 10.0 ** draw(st.integers(-3, 3))
+    frame = _random_unitary(n, g)
+    raw = (frame * spectrum) @ frame.conj().T
+    noise = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
+    noise = noise - noise.conj().T
+    np.fill_diagonal(noise, 0.0)  # keeps the trace at one
+    defect = np.max(np.abs(noise - noise.conj().T))
+    if defect > 0.0:
+        target = draw(st.sampled_from([0.0, 0.5, 0.9, 0.99, 1.01, 1.5]))
+        scale = max(1.0, float(np.max(np.abs(raw))))
+        raw = raw + noise * (target * HERMITICITY_RTOL * scale / defect)
+    return raw
+
+
+@given(raw_matrices())
+@settings(max_examples=200, deadline=None)
+def test_make_hermitian_and_make_density_equal_validating_path(raw):
+    assert outcome(qc.make_hermitian, raw) == outcome(validating_make_hermitian, raw)
+    assert outcome(qc.make_density, raw) == outcome(validating_make_density, raw)
+
+
+def test_make_hermitian_and_make_density_reject_overflowing_symmetrisation():
+    # Finite entries whose symmetrisation overflows are refused as before.
+    huge = 1.5e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        for raw in ([[huge]], [[0.5, huge], [huge, 0.5]]):
+            for build, reference in (
+                (qc.make_hermitian, validating_make_hermitian),
+                (qc.make_density, validating_make_density),
+            ):
+                expected = outcome(reference, np.array(raw, dtype=complex))
+                assert isinstance(expected, type)
+                assert outcome(build, np.array(raw, dtype=complex)) == expected
 
 
 def test_public_constructors_still_validate(tmp_path):
