@@ -14,11 +14,17 @@ operands swapped for |q| > 1; negative q needs only |q|, since
 Tr[rho A0 B0], Tr[rho B0 A0], the raw commutator trace, extreme
 eigenvalues), so each further q costs O(1).  ``bound_report`` evaluates
 every bound on one instance; it is the record the CLI streams out.
+
+The pass is one kernel, ``_trace_kernel``, that takes one instance or a
+stack of them.  ``_traces`` runs it on one instance; ``verify`` runs it
+once per batch of drawn trials through ``_trace_rows``, and builds each
+record from its row with the same scalar ``_report``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,7 +36,8 @@ from .hermitian import (
     DensityMatrix,
     HermitianMatrix,
     _centred,
-    _centred_variance,
+    _check_same_dim,
+    _trace3,
     eigenbasis_elements,
 )
 
@@ -243,25 +250,55 @@ class _Traces(NamedTuple):
 
 
 def _traces(state: DensityMatrix, a: HermitianMatrix, b: HermitianMatrix) -> _Traces:
-    # Centring checks both dimensions against the state.
-    a0 = _centred(state, a)
-    b0 = _centred(state, b)
-    return _Traces(
-        dim=state.dim,
-        var_a=_centred_variance(state, a0),
-        var_b=_centred_variance(state, b0),
-        forward=_trace3(state, a0, b0),
-        backward=_trace3(state, b0, a0),
-        commutator=complex(
-            _trace3(state, a.mat, b.mat) - _trace3(state, b.mat, a.mat)
-        ),
-        lambda_min=state.lambda_min,
-        lambda_max=state.lambda_max,
+    _check_same_dim(state, a)
+    _check_same_dim(state, b)
+    return _row(state.dim, _trace_kernel(state.mat, state.eigenvalues, a.mat, b.mat))
+
+
+def _trace_rows(
+    rho: np.ndarray, vals: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> Iterator[_Traces]:
+    """Yield the ``_Traces`` of each instance of a stack, in order.
+
+    ``rho``, ``a`` and ``b`` hold one matrix per instance along the
+    leading axis, and ``vals`` the state's ascending spectrum.  Row ``i``
+    equals ``_traces`` of instance ``i`` bit for bit.
+    """
+    dim = rho.shape[-1]
+    for row in zip(*_trace_kernel(rho, vals, a, b)):
+        yield _row(dim, row)
+
+
+def _trace_kernel(rho, vals, a, b) -> tuple:
+    # The one evaluation pass, over one instance (2-D matrices, 1-D
+    # spectrum) or a stack of them.  Returns the columns second moments of
+    # A0 and B0, Tr[rho A0 B0], Tr[rho B0 A0], Tr[rho [A,B]], lambda_min
+    # and lambda_max: NumPy scalars for one instance, arrays for a stack.
+    a0 = _centred(rho, a)
+    b0 = _centred(rho, b)
+    return (
+        _trace3(rho, a0, a0).real,
+        _trace3(rho, b0, b0).real,
+        _trace3(rho, a0, b0),
+        _trace3(rho, b0, a0),
+        _trace3(rho, a, b) - _trace3(rho, b, a),
+        vals[..., 0],
+        vals[..., -1],
     )
 
 
-def _trace3(state: DensityMatrix, x: np.ndarray, y: np.ndarray) -> complex:
-    return np.einsum("ij,jk,ki->", state.mat, x, y)
+def _row(dim: int, row) -> _Traces:
+    second_a, second_b, forward, backward, commutator, lambda_min, lambda_max = row
+    return _Traces(
+        dim=dim,
+        var_a=max(float(second_a), 0.0),
+        var_b=max(float(second_b), 0.0),
+        forward=forward,
+        backward=backward,
+        commutator=complex(commutator),
+        lambda_min=float(lambda_min),
+        lambda_max=float(lambda_max),
+    )
 
 
 def _report(t: _Traces, q: float) -> BoundReport:

@@ -19,12 +19,22 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import BoundReport, bound_report
+from .bounds import BoundReport, _report, _trace_rows, bound_report
 from .errors import QcboundsError
-from .generators import SeededRng, _derived_streams, random_density, random_hermitian
+from .generators import (
+    SeededRng,
+    _derived_streams,
+    _draw_state,
+    _gaussian_matrix,
+    _unitary_frame,
+    random_density,
+    random_hermitian,
+)
+from .hermitian import _density_arrays, _symmetrised
 from .instances import instance_payload, load_instance, render_document
 from .search import maximize_tightness, sweep_q
 
@@ -53,6 +63,10 @@ _UINT64_BOUND = 2**64
 # The streams of this many consecutive trials are derived in one pass.
 _TRIAL_STREAMS = 5
 _CHUNK_TRIALS = 512
+# Trials of one dim are built and evaluated together in batches of at most
+# this many matrix entries per stack, 64 KiB of complex128: a whole dim
+# group for n <= 8, four trials at n = 32.
+_BATCH_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -100,6 +114,17 @@ class _TrialOutcome:
     replay: dict | None
 
 
+class _Draws(NamedTuple):
+    """The random draws of consecutive trials of one dim, stacked."""
+
+    qs: list[float]
+    ranks: list[int]
+    spectra: np.ndarray  # (m, n), each sorted ascending
+    raw_frames: np.ndarray  # (m, n, n) Gaussian matrices orthonormalised by QR
+    raw_a: np.ndarray  # (m, n, n) Gaussian matrices, A before symmetrising
+    raw_b: np.ndarray
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -115,7 +140,14 @@ def main(argv=None) -> int:
 def cmd_verify(plan: TrialPlan, out=None) -> int:
     """Run the Monte Carlo verification described by ``plan``.
 
-    The trials run in one loop, in index order.
+    The trials run in index order, in chunks of ``_CHUNK_TRIALS`` whose
+    streams are derived in one pass.  Each chunk is cut into batches of
+    consecutive trials of one dim, of at most ``_BATCH_ENTRIES // dim**2``
+    trials.  Every trial draws from its own streams as ``random_density``
+    and ``random_hermitian`` would; the batch is then built and evaluated
+    once, on stacked arrays, and bit for bit as one trial at a time.
+    Records are written in index order, so a trial that raises leaves
+    those before it written.
     """
     problems = plan.problems()
     if problems:
@@ -131,14 +163,14 @@ def cmd_verify(plan: TrialPlan, out=None) -> int:
             stop = min(start + _CHUNK_TRIALS, total)
             indices = np.arange(start, stop, dtype=np.uint64)
             streams = _derived_streams(plan.seed, indices, _TRIAL_STREAMS)
-            for index, trial_streams in zip(range(start, stop), streams):
-                dim = plan.dims[index // plan.trials_per_dim]
-                outcome = _run_trial(plan, dim, index, trial_streams)
-                _emit_record(
-                    stream, plan.output_format, outcome.report, outcome.replay
-                )
-                if outcome.violated:
-                    violations.append(outcome)
+            for dim, first, last in _batches(plan, start, stop):
+                batch = streams[first - start : last - start]
+                for outcome in _run_batch(plan, dim, first, batch):
+                    _emit_record(
+                        stream, plan.output_format, outcome.report, outcome.replay
+                    )
+                    if outcome.violated:
+                        violations.append(outcome)
 
     for outcome in violations:
         path = Path(f"violation_{outcome.index}.json")
@@ -197,28 +229,87 @@ def cmd_search(n: int, q: float, budget: int, seed: int, out=None) -> int:
     return 0
 
 
-def _run_trial(plan: TrialPlan, dim: int, index: int, streams) -> _TrialOutcome:
-    q_stream, rank_stream, state_stream, a_stream, b_stream = streams
-    slot = index % BOUNDARY_PERIOD
-    if slot < len(BOUNDARY_Q):
-        q = BOUNDARY_Q[slot]
-    else:
-        q = float(q_stream.generator().uniform(plan.q_lo, plan.q_hi))
-    if plan.rank_policy == "mixed" and index % 2 == 1 and dim >= 2:
-        rank = int(rank_stream.generator().integers(1, dim))
-    else:
-        rank = dim
+def _batches(plan: TrialPlan, start: int, stop: int):
+    """Yield ``(dim, first, last)`` for batches covering trials [start, stop)."""
+    first = start
+    while first < stop:
+        group = first // plan.trials_per_dim
+        dim = plan.dims[group]
+        cap = max(1, _BATCH_ENTRIES // dim**2)
+        last = min(stop, (group + 1) * plan.trials_per_dim, first + cap)
+        yield dim, first, last
+        first = last
+
+
+def _run_batch(plan: TrialPlan, dim: int, first: int, streams):
+    """Yield the outcomes of trials ``first, first + 1, ...``, in order."""
+    draws = _draw_batch(plan, dim, first, streams)
+    rho, vals, _, a, b = _build_batch(draws)
+    rows = _trace_rows(rho, vals, a, b)
+    for offset, (q, traces) in enumerate(zip(draws.qs, rows)):
+        report = _report(traces, q)
+        violated = bool(report.slack < -plan.tolerance_rel * max(1.0, report.product))
+        replay = None
+        if violated:
+            replay = _replay(dim, draws.ranks[offset], streams[offset], q)
+        yield _TrialOutcome(
+            index=first + offset, report=report, violated=violated, replay=replay
+        )
+
+
+def _draw_batch(plan: TrialPlan, dim: int, first: int, streams) -> _Draws:
+    # Trial ``first + offset`` draws from ``streams[offset]``, each stream
+    # exactly as the single-trial path draws from it.
+    m = len(streams)
+    draws = _Draws(
+        qs=[],
+        ranks=[],
+        spectra=np.empty((m, dim)),
+        raw_frames=np.empty((m, dim, dim), dtype=complex),
+        raw_a=np.empty((m, dim, dim), dtype=complex),
+        raw_b=np.empty((m, dim, dim), dtype=complex),
+    )
+    for offset, trial_streams in enumerate(streams):
+        q_stream, rank_stream, state_stream, a_stream, b_stream = trial_streams
+        index = first + offset
+        slot = index % BOUNDARY_PERIOD
+        if slot < len(BOUNDARY_Q):
+            q = BOUNDARY_Q[slot]
+        else:
+            q = float(q_stream.generator().uniform(plan.q_lo, plan.q_hi))
+        if plan.rank_policy == "mixed" and index % 2 == 1 and dim >= 2:
+            rank = int(rank_stream.generator().integers(1, dim))
+        else:
+            rank = dim
+        draws.qs.append(q)
+        draws.ranks.append(rank)
+        draws.spectra[offset], draws.raw_frames[offset] = _draw_state(
+            state_stream.generator(), dim, rank
+        )
+        draws.raw_a[offset] = _gaussian_matrix(a_stream.generator(), dim)
+        draws.raw_b[offset] = _gaussian_matrix(b_stream.generator(), dim)
+    return draws
+
+
+def _build_batch(draws: _Draws):
+    # The stacked counterpart of random_density and random_hermitian:
+    # returns rho, its normalised spectrum, the frame, A and B.
+    frame = _unitary_frame(draws.raw_frames)
+    rho, vals = _density_arrays(draws.spectra, frame)
+    return rho, vals, frame, _symmetrised(draws.raw_a), _symmetrised(draws.raw_b)
+
+
+def _replay(dim: int, rank: int, streams, q: float) -> dict:
+    # A violated trial is rebuilt and re-evaluated through the reference
+    # path, which gives the batch's values bit for bit.
+    _, _, state_stream, a_stream, b_stream = streams
     state = random_density(dim, rank, state_stream)
     a = random_hermitian(dim, a_stream)
     b = random_hermitian(dim, b_stream)
-    report = bound_report(state, a, b, q)
-    violated = bool(report.slack < -plan.tolerance_rel * max(1.0, report.product))
-    replay = None
-    if violated:
-        replay = instance_payload(state, a, b)
-        replay["q"] = report.q
-        replay["report"] = _record_fields(report)
-    return _TrialOutcome(index=index, report=report, violated=violated, replay=replay)
+    replay = instance_payload(state, a, b)
+    replay["q"] = q
+    replay["report"] = _record_fields(bound_report(state, a, b, q))
+    return replay
 
 
 def _record_fields(report: BoundReport) -> dict:

@@ -10,6 +10,14 @@ same streams in batches: the private kernel ``_spawn_words`` computes the
 PCG64 seed words of ``SeededRng(seed, index).split(k)`` for many indices
 in one vectorised pass, and each ``_DerivedStream`` builds from them the
 generator that :meth:`SeededRng.generator` would build, bit for bit.
+
+:func:`random_density` and :func:`random_hermitian` are likewise the
+reference path for instances.  Their draw order lives in two private
+helpers, ``_draw_state`` and ``_gaussian_matrix``, and the QR phase fix
+in ``_unitary_frame``, which acts on one matrix or a stack.  ``verify``
+draws each trial through the helpers, then orthonormalises and builds a
+whole batch of trials at once; stacked QR rounds as one matrix at a time,
+so each trial gets the reference bytes.
 """
 
 from __future__ import annotations
@@ -181,9 +189,7 @@ def random_hermitian(n: int, rng: SeededRng) -> HermitianMatrix:
     """Return (M + M†)/2 for M with standard-normal real and imaginary parts."""
     if n < 1:
         raise InvalidDimension(f"n must be >= 1, got {n}")
-    g = rng.generator()
-    raw = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
-    return _unchecked_hermitian(raw)
+    return _unchecked_hermitian(_gaussian_matrix(rng.generator(), n))
 
 
 def random_density(n: int, rank: int, rng: SeededRng) -> DensityMatrix:
@@ -210,12 +216,8 @@ def random_density(n: int, rank: int, rng: SeededRng) -> DensityMatrix:
         raise InvalidDimension(f"n must be >= 1, got {n}")
     if not 1 <= rank <= n:
         raise InvalidRank(f"rank must be in [1, {n}], got {rank}")
-    g = rng.generator()
-    spectrum = np.zeros(n)
-    spectrum[n - rank :] = g.dirichlet(np.ones(rank))
-    spectrum.sort()
-    frame = _random_unitary(n, g)
-    return _unchecked_density(spectrum, frame)
+    spectrum, raw = _draw_state(rng.generator(), n, rank)
+    return _unchecked_density(spectrum, _unitary_frame(raw))
 
 
 def maximally_mixed(n: int) -> DensityMatrix:
@@ -226,10 +228,30 @@ def maximally_mixed(n: int) -> DensityMatrix:
     return density_from_decomposition(spectrum, np.eye(n, dtype=complex))
 
 
-def _random_unitary(n: int, g: np.random.Generator) -> np.ndarray:
+def _gaussian_matrix(g: np.random.Generator, n: int) -> np.ndarray:
+    # The one draw of random_hermitian, and the frame draw of random_density.
+    return g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
+
+
+def _draw_state(
+    g: np.random.Generator, n: int, rank: int
+) -> tuple[np.ndarray, np.ndarray]:
+    # The draws of random_density, in order: the sorted spectrum, then the
+    # Gaussian matrix whose QR gives the frame.
+    spectrum = np.zeros(n)
+    spectrum[n - rank :] = g.dirichlet(np.ones(rank))
+    spectrum.sort()
+    return spectrum, _gaussian_matrix(g, n)
+
+
+def _unitary_frame(raw: np.ndarray) -> np.ndarray:
     # QR of a complex Gaussian matrix, with the R diagonal's phases folded
-    # into Q so the distribution is uniform over the unitary group.
-    raw = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
+    # into Q so the distribution is uniform over the unitary group.  Works
+    # on one matrix or a stack; stacked QR rounds as one matrix at a time.
     q, r = np.linalg.qr(raw)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    diag = r.diagonal(0, -2, -1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def _random_unitary(n: int, g: np.random.Generator) -> np.ndarray:
+    return _unitary_frame(_gaussian_matrix(g, n))

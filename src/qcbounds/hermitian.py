@@ -31,6 +31,14 @@ skip the checks and keep only the arithmetic:
 Both produce bitwise the values the validating path would, and make the
 stored arrays read-only; ``_unchecked_density`` keeps the given frame
 array itself, so its caller hands it over.
+
+Their arithmetic lives in two array functions that act on the trailing
+two axes, so one call serves one matrix or a stack of them:
+:func:`_symmetrised` and :func:`_density_arrays`.  ``cli.cmd_verify``
+calls them on stacks of drawn trials, and gets row for row the bytes
+that ``random_hermitian`` and ``random_density`` give one at a time.
+:func:`_centred` and :func:`_trace3` likewise take one instance or a
+stack; ``bounds`` evaluates through them.
 """
 
 from __future__ import annotations
@@ -200,11 +208,14 @@ def make_density(raw) -> DensityMatrix:
     arr = _as_square_complex(raw, "density matrix")
     if _hermiticity_defect(arr) > HERMITICITY_RTOL:
         raise NotHermitian("density matrix is not Hermitian within tolerance")
-    sym = (arr + arr.conj().T) / 2.0
+    sym = _symmetrised(arr)
+    # Finite entries can overflow in the symmetrisation, as in
+    # make_hermitian; checked first, so an overflowing diagonal is not
+    # reported as a trace of inf.
+    _check_finite(sym, "density matrix")
     trace = complex(np.trace(sym))
     if abs(trace - 1.0) > TRACE_ATOL:
         raise TraceNotOne(f"trace is {trace!r}")
-    _check_finite(sym, "density matrix")  # overflow, as in make_hermitian
     vals, frame = np.linalg.eigh(sym)
     low = float(vals[0])
     if low < -EIG_CLAMP:
@@ -213,11 +224,25 @@ def make_density(raw) -> DensityMatrix:
     return _unchecked_density(vals / vals.sum(), frame)
 
 
+def _symmetrised(raw: np.ndarray) -> np.ndarray:
+    # (raw + raw†) / 2 of one matrix or of a stack, on the trailing two
+    # axes.  Not a bitwise no-op on every Hermitian input: the complex
+    # division by 2.0 can flip the sign of a zero part.
+    return (raw + raw.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _density_arrays(
+    vals: np.ndarray, frame: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    # The matrix (frame * vals) @ frame†, symmetrised, and the spectrum
+    # normalised to unit sum, of one state or of a stack of states.
+    mat = (frame * vals[..., None, :]) @ frame.conj().swapaxes(-1, -2)
+    return _symmetrised(mat), vals / vals.sum(axis=-1, keepdims=True)
+
+
 def _unchecked_hermitian(raw: np.ndarray) -> HermitianMatrix:
-    # The arithmetic of make_hermitian, without its checks.  The
-    # symmetrisation stays: the complex division by 2.0 can flip the sign
-    # of a zero part, so it is not a bitwise no-op on every Hermitian input.
-    mat = (raw + raw.conj().T) / 2.0
+    # The arithmetic of make_hermitian, without its checks.
+    mat = _symmetrised(raw)
     mat.setflags(write=False)
     out = object.__new__(HermitianMatrix)
     object.__setattr__(out, "mat", mat)
@@ -228,9 +253,7 @@ def _unchecked_density(vals: np.ndarray, frame: np.ndarray) -> DensityMatrix:
     # Same arithmetic as density_from_decomposition followed by
     # DensityMatrix.__post_init__, without the checks: the caller
     # guarantees the invariants listed in the module docstring.
-    mat = (frame * vals) @ frame.conj().T
-    mat = (mat + mat.conj().T) / 2.0
-    vals = vals / float(vals.sum())
+    mat, vals = _density_arrays(vals, frame)
     for arr in (mat, vals, frame):
         arr.setflags(write=False)
     out = object.__new__(DensityMatrix)
@@ -251,8 +274,7 @@ def density_from_decomposition(eigenvalues, eigenvectors) -> DensityMatrix:
     frame = np.asarray(eigenvectors, dtype=complex)
     if vals.ndim != 1 or frame.shape != (vals.size, vals.size):
         raise DimensionMismatch("spectrum and frame shapes disagree")
-    mat = (frame * vals) @ frame.conj().T
-    mat = (mat + mat.conj().T) / 2.0
+    mat = _symmetrised((frame * vals) @ frame.conj().T)
     return DensityMatrix(mat, vals, frame)
 
 
@@ -264,25 +286,40 @@ def expectation(state: DensityMatrix, obs: HermitianMatrix) -> float:
 
 def center(state: DensityMatrix, obs: HermitianMatrix) -> HermitianMatrix:
     """Shift ``obs`` by its expectation so the centred mean vanishes."""
-    return HermitianMatrix(_centred(state, obs))
+    _check_same_dim(state, obs)
+    return HermitianMatrix(_centred(state.mat, obs.mat))
 
 
 def variance(state: DensityMatrix, obs: HermitianMatrix) -> float:
     """Return Tr[rho A0^2] for the centred observable A0, clamped at zero."""
-    return _centred_variance(state, _centred(state, obs))
+    _check_same_dim(state, obs)
+    a0 = _centred(state.mat, obs.mat)
+    return max(float(_trace3(state.mat, a0, a0).real), 0.0)
 
 
-def _centred(state: DensityMatrix, obs: HermitianMatrix) -> np.ndarray:
-    # The one centring routine.  A real shift of the diagonal keeps a
-    # Hermitian matrix Hermitian, so internal callers skip re-validation.
-    shifted = obs.mat.copy()
-    np.fill_diagonal(shifted, np.diagonal(shifted) - expectation(state, obs))
+# Einsum subscripts of Tr[rho X] and Tr[rho X Y], keyed by the number of
+# axes of rho: one matrix, or a stack of them along a leading axis.  The
+# subscripts are spelled out because ``...`` makes every call slower.
+_TRACE2 = {2: "ij,ji->", 3: "nij,nji->n"}
+_TRACE3 = {2: "ij,jk,ki->", 3: "nij,njk,nki->n"}
+
+
+def _trace3(rho: np.ndarray, x: np.ndarray, y: np.ndarray):
+    # Tr[rho X Y] of one instance, or per instance of a stack.
+    return np.einsum(_TRACE3[rho.ndim], rho, x, y)
+
+
+def _centred(rho: np.ndarray, obs: np.ndarray) -> np.ndarray:
+    # The one centring routine, for one matrix or a stack of them: each
+    # observable minus its expectation Tr[rho A] on the diagonal.  A real
+    # shift of the diagonal keeps a Hermitian matrix Hermitian, so
+    # internal callers skip re-validation.
+    mean = np.einsum(_TRACE2[rho.ndim], rho, obs).real
+    shifted = obs.copy()
+    n = obs.shape[-1]
+    diagonal = shifted.reshape(*obs.shape[:-2], n * n)[..., :: n + 1]
+    diagonal -= mean[..., None]
     return shifted
-
-
-def _centred_variance(state: DensityMatrix, a0: np.ndarray) -> float:
-    second = float(np.einsum("ij,jk,ki->", state.mat, a0, a0).real)
-    return max(second, 0.0)
 
 
 def eigenbasis_elements(state: DensityMatrix, obs: HermitianMatrix) -> np.ndarray:

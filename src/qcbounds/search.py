@@ -189,7 +189,11 @@ def _scatter_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _unitary_from_reals(vec: np.ndarray, n: int) -> np.ndarray:
     herm = _hermitian_from_reals(vec, n)
-    w, v = np.linalg.eigh(herm)
+    try:
+        w, v = np.linalg.eigh(herm)
+    except np.linalg.LinAlgError as exc:
+        # Non-finite coordinates stop eigh from converging.
+        raise DomainError(f"frame coordinates give no eigenbasis: {exc}") from exc
     return (v * np.exp(1j * w)) @ v.conj().T
 
 

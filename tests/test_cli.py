@@ -11,16 +11,21 @@ from qcbounds.cli import CSV_COLUMNS, main
 from qcbounds.generators import _random_unitary
 
 
-# sha256 of four output streams, pinned so that a refactor of stream
+# sha256 of five output streams, pinned so that a refactor of stream
 # derivation, instance construction or bound evaluation cannot change an
 # emitted byte unnoticed.  The two verify digests cover a one-word seed (7)
 # and a two-word seed (2**64 - 1), whose streams verify derives in batches.
+# The third runs across the edges of verify's batches: an n = 1 group, the
+# 512-trial chunk edge inside n = 32, and the four-trial n = 32 batches.
 # They hold for the installed NumPy 2.4.6: random_density draws its frame
 # through qr, make_density and the search decoder decompose through eigh,
 # all LAPACK, whose rounding may differ under another NumPy or BLAS build.
 VERIFY_CSV_SHA256 = "d4d42239af2f5bb0114aed028bd7c558141ce556bfd96a90a75c525a4b532926"
 VERIFY_WIDE_SEED_CSV_SHA256 = (
     "53056b929e5cf3daeef605f48ddbb6daf45b32708ce6b8294e9f362c17b72f22"
+)
+VERIFY_BATCH_EDGES_CSV_SHA256 = (
+    "e7ce93e3d96a40159e9db1af3bcfd408c0158848365d446a67104cd340919b41"
 )
 SWEEP_JSON_SHA256 = "3424150cd3903dd83462ebf667205290ce72d49a98bcc845db72bca06a737f03"
 SEARCH_JSON_SHA256 = "8e11d9cfb486cf0aa84765bc86a1afca78ae14d368dc2f61d2fad2a3d098813e"
@@ -246,6 +251,14 @@ def test_verify_csv_golden_digest_two_word_seed(tmp_path):
                    "--rank-policy", "mixed", "--seed", 2**64 - 1,
                    "--format", "csv", "--out", out) == 0
     assert sha256_of(out) == VERIFY_WIDE_SEED_CSV_SHA256
+
+
+def test_verify_csv_golden_digest_across_batch_edges(tmp_path):
+    out = tmp_path / "golden.csv"
+    assert run_cli("verify", "--dims", "1,5,32", "--trials", "200",
+                   "--rank-policy", "mixed", "--seed", "3", "--format", "csv",
+                   "--out", out) == 0
+    assert sha256_of(out) == VERIFY_BATCH_EDGES_CSV_SHA256
 
 
 def test_cli_import_leaves_numpy_random_unloaded():
