@@ -251,7 +251,3 @@ def _unitary_frame(raw: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(raw)
     diag = r.diagonal(0, -2, -1)
     return q * (diag / np.abs(diag))[..., None, :]
-
-
-def _random_unitary(n: int, g: np.random.Generator) -> np.ndarray:
-    return _unitary_frame(_gaussian_matrix(g, n))

@@ -8,7 +8,7 @@ import pytest
 
 import qcbounds as qc
 from qcbounds.cli import CSV_COLUMNS, main
-from qcbounds.generators import _random_unitary
+from qcbounds.generators import _gaussian_matrix, _unitary_frame
 
 
 # sha256 of five output streams, pinned so that a refactor of stream
@@ -171,7 +171,7 @@ def test_sweep_through_q_one_with_uniform_spectrum_and_shifted_observables(tmp_p
     # observables are shifted by +-1000 I, which leaves the bound alone but
     # makes the uncentred commutator trace 2.3e-10 from rounding.  Values
     # pinned for the installed NumPy 2.4.6, as the golden digests below.
-    frame = _random_unitary(3, np.random.default_rng(9))
+    frame = _unitary_frame(_gaussian_matrix(np.random.default_rng(9), 3))
     state = qc.density_from_decomposition(np.full(3, 1 / 3), frame)
     shift = 1000.0 * np.eye(3)
     a = qc.make_hermitian(10 * qc.random_hermitian(3, qc.SeededRng(9, 1)).mat + shift)

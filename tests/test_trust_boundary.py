@@ -26,7 +26,7 @@ from qcbounds.errors import (
     QcboundsError,
     TraceNotOne,
 )
-from qcbounds.generators import _random_unitary
+from qcbounds.generators import _gaussian_matrix, _unitary_frame
 from qcbounds.hermitian import (
     EIG_CLAMP,
     HERMITICITY_RTOL,
@@ -111,7 +111,8 @@ def test_random_density_equals_validating_path(seed, n, deficient):
     spectrum = np.zeros(n)
     spectrum[n - rank :] = g.dirichlet(np.ones(rank))
     spectrum.sort()
-    expected = qc.density_from_decomposition(spectrum, _random_unitary(n, g))
+    raw = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
+    expected = qc.density_from_decomposition(spectrum, _unitary_frame(raw))
     assert parts(qc.random_density(n, rank, rng)) == parts(expected)
 
 
@@ -226,7 +227,7 @@ def raw_matrices(draw):
         spectrum[-1] += 1.0 - spectrum.sum()
     else:
         spectrum = g.standard_normal(n) * 10.0 ** draw(st.integers(-3, 3))
-    frame = _random_unitary(n, g)
+    frame = _unitary_frame(_gaussian_matrix(g, n))
     raw = (frame * spectrum) @ frame.conj().T
     noise = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
     noise = noise - noise.conj().T
