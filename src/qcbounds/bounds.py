@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import QRegime, classify_q, q_trace_term
-from .errors import DegenerateCoefficient, DomainError, InvalidSpectrum
+from .errors import DegenerateCoefficient, DomainError, InvalidSpectrum, NonFinite
 from .hermitian import (
     DensityMatrix,
     HermitianMatrix,
@@ -227,10 +227,11 @@ class _Traces(NamedTuple):
     lambda_max: float
 
     def robertson(self) -> float:
-        return 0.25 * abs(self.commutator) ** 2
+        return 0.25 * _squared(abs(self.commutator))
 
     def naive(self, aq: float) -> float:
-        return abs(complex(self.forward - aq * self.backward)) ** 2 / (1.0 + aq) ** 2
+        magnitude = abs(complex(self.forward - aq * self.backward))
+        return _squared(magnitude) / (1.0 + aq) ** 2
 
     def refined(self, q: float) -> float:
         aq = abs(q)
@@ -246,7 +247,17 @@ class _Traces(NamedTuple):
             raise DegenerateCoefficient(
                 f"infinite coefficient with trace term {magnitude!r} at q={q!r}"
             )
-        return coefficient * magnitude**2
+        return coefficient * _squared(magnitude)
+
+
+def _squared(magnitude: float) -> float:
+    # A finite trace term whose square overflows a float makes Python's **
+    # raise OverflowError; report it as a qcbounds error instead.  An
+    # infinite or NaN term squares to inf or NaN without raising.
+    try:
+        return magnitude**2
+    except OverflowError:
+        raise NonFinite(f"squared trace term {magnitude!r} overflows") from None
 
 
 def _traces(state: DensityMatrix, a: HermitianMatrix, b: HermitianMatrix) -> _Traces:

@@ -27,9 +27,11 @@ from .bounds import BoundReport, _report, _trace_rows, bound_report
 from .errors import QcboundsError
 from .generators import (
     SeededRng,
+    _complex_matrix,
     _derived_streams,
+    _draw_gaussian,
     _draw_state,
-    _gaussian_matrix,
+    _spectrum,
     _unitary_frame,
     random_density,
     random_hermitian,
@@ -143,11 +145,13 @@ def cmd_verify(plan: TrialPlan, out=None) -> int:
     The trials run in index order, in chunks of ``_CHUNK_TRIALS`` whose
     streams are derived in one pass.  Each chunk is cut into batches of
     consecutive trials of one dim, of at most ``_BATCH_ENTRIES // dim**2``
-    trials.  Every trial draws from its own streams as ``random_density``
-    and ``random_hermitian`` would; the batch is then built and evaluated
-    once, on stacked arrays, and bit for bit as one trial at a time.
-    Records are written in index order, so a trial that raises leaves
-    those before it written.
+    trials.  Every trial draws from its own streams through the helpers
+    ``random_density`` and ``random_hermitian`` run, in the order they
+    fix, into its row of preallocated float stacks.  The spectra (the
+    exponentials normalised as NumPy's Dirichlet(1) normalises them), the
+    complex matrices, the instances and the bounds are then computed once
+    per batch, bit for bit as one trial at a time.  Records are written in
+    index order, so a trial that raises leaves those before it written.
     """
     problems = plan.problems()
     if problems:
@@ -259,16 +263,14 @@ def _run_batch(plan: TrialPlan, dim: int, first: int, streams):
 
 def _draw_batch(plan: TrialPlan, dim: int, first: int, streams) -> _Draws:
     # Trial ``first + offset`` draws from ``streams[offset]``, each stream
-    # exactly as the single-trial path draws from it.
+    # exactly as the single-trial path draws from it, into row ``offset``
+    # of the exponential stack and of the six float stacks: the real and
+    # the imaginary parts of the frame, of A and of B.  The spectra and
+    # the complex matrices are then formed once for the batch.
     m = len(streams)
-    draws = _Draws(
-        qs=[],
-        ranks=[],
-        spectra=np.empty((m, dim)),
-        raw_frames=np.empty((m, dim, dim), dtype=complex),
-        raw_a=np.empty((m, dim, dim), dtype=complex),
-        raw_b=np.empty((m, dim, dim), dtype=complex),
-    )
+    qs, ranks = [], []
+    exps = np.zeros((m, dim))
+    parts = np.empty((6, m, dim, dim))
     for offset, trial_streams in enumerate(streams):
         q_stream, rank_stream, state_stream, a_stream, b_stream = trial_streams
         index = first + offset
@@ -281,14 +283,14 @@ def _draw_batch(plan: TrialPlan, dim: int, first: int, streams) -> _Draws:
             rank = int(rank_stream.generator().integers(1, dim))
         else:
             rank = dim
-        draws.qs.append(q)
-        draws.ranks.append(rank)
-        draws.spectra[offset], draws.raw_frames[offset] = _draw_state(
-            state_stream.generator(), dim, rank
-        )
-        draws.raw_a[offset] = _gaussian_matrix(a_stream.generator(), dim)
-        draws.raw_b[offset] = _gaussian_matrix(b_stream.generator(), dim)
-    return draws
+        qs.append(q)
+        ranks.append(rank)
+        row = parts[:, offset]
+        _draw_state(state_stream.generator(), rank, exps[offset], row[0], row[1])
+        _draw_gaussian(a_stream.generator(), row[2], row[3])
+        _draw_gaussian(b_stream.generator(), row[4], row[5])
+    raw_frames, raw_a, raw_b = _complex_matrix(parts[0::2], parts[1::2])
+    return _Draws(qs, ranks, _spectrum(exps), raw_frames, raw_a, raw_b)
 
 
 def _build_batch(draws: _Draws):
@@ -326,24 +328,26 @@ def _emit_header(stream, output_format: str) -> None:
 
 
 def _emit_record(stream, output_format: str, report: BoundReport, replay) -> None:
-    fields = _record_fields(report)
     if output_format == "csv":
-        stream.write(",".join(_csv_cell(fields[c]) for c in CSV_COLUMNS) + "\n")
+        stream.write(_csv_record(report))
         return
+    fields = _record_fields(report)
     if replay is not None:
         fields["violation"] = True
         fields["instance"] = {k: replay[k] for k in ("dim", "rho", "a", "b")}
     stream.write(json.dumps(fields) + "\n")
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
+def _csv_record(r: BoundReport) -> str:
+    # One line in CSV_COLUMNS order: repr of every float, an empty cell
+    # for a missing ratio.
+    ratio = "" if r.ratio is None else repr(float(r.ratio))
+    return (
+        f"{r.dim},{float(r.q)!r},{r.regime.value},{float(r.lambda_min)!r},"
+        f"{float(r.lambda_max)!r},{float(r.var_a)!r},{float(r.var_b)!r},"
+        f"{float(r.product)!r},{float(r.robertson)!r},{float(r.naive_q)!r},"
+        f"{float(r.refined)!r},{float(r.slack)!r},{ratio}\n"
+    )
 
 
 @contextlib.contextmanager

@@ -11,13 +11,22 @@ PCG64 seed words of ``SeededRng(seed, index).split(k)`` for many indices
 in one vectorised pass, and each ``_DerivedStream`` builds from them the
 generator that :meth:`SeededRng.generator` would build, bit for bit.
 
-:func:`random_density` and :func:`random_hermitian` are likewise the
-reference path for instances.  Their draw order lives in two private
-helpers, ``_draw_state`` and ``_gaussian_matrix``, and the QR phase fix
-in ``_unitary_frame``, which acts on one matrix or a stack.  ``verify``
-draws each trial through the helpers, then orthonormalises and builds a
-whole batch of trials at once; stacked QR rounds as one matrix at a time,
-so each trial gets the reference bytes.
+Instances are drawn the same way on both paths.  The draw order lives in
+two private helpers that fill caller-given float buffers, ``_draw_state``
+and ``_draw_gaussian``, and the arithmetic on the draws in three array
+functions that act on one row or a stack: ``_spectrum``,
+``_complex_matrix`` and the QR phase fix ``_unitary_frame``.
+:func:`random_density` and :func:`random_hermitian` are the reference
+path: they run the helpers on one-row buffers.  ``verify`` fills one row
+per trial of preallocated stacks, then runs the array functions once per
+batch; they act element by element or, for stacked QR, round as one matrix
+at a time, so each trial gets the reference bytes.
+
+The spectrum is Dirichlet(1, ..., 1) drawn as NumPy's
+``Generator.dirichlet`` draws it: ``rank`` standard exponentials, each
+multiplied by one over their sequential sum.  So ``_spectrum`` of the
+exponentials equals ``g.dirichlet(np.ones(rank))`` bit for bit, and the
+stream is left at the same position.
 """
 
 from __future__ import annotations
@@ -189,7 +198,9 @@ def random_hermitian(n: int, rng: SeededRng) -> HermitianMatrix:
     """Return (M + M†)/2 for M with standard-normal real and imaginary parts."""
     if n < 1:
         raise InvalidDimension(f"n must be >= 1, got {n}")
-    return _unchecked_hermitian(_gaussian_matrix(rng.generator(), n))
+    re, im = np.empty((2, n, n))
+    _draw_gaussian(rng.generator(), re, im)
+    return _unchecked_hermitian(_complex_matrix(re, im))
 
 
 def random_density(n: int, rank: int, rng: SeededRng) -> DensityMatrix:
@@ -216,8 +227,11 @@ def random_density(n: int, rank: int, rng: SeededRng) -> DensityMatrix:
         raise InvalidDimension(f"n must be >= 1, got {n}")
     if not 1 <= rank <= n:
         raise InvalidRank(f"rank must be in [1, {n}], got {rank}")
-    spectrum, raw = _draw_state(rng.generator(), n, rank)
-    return _unchecked_density(spectrum, _unitary_frame(raw))
+    exps = np.zeros(n)
+    re, im = np.empty((2, n, n))
+    _draw_state(rng.generator(), rank, exps, re, im)
+    frame = _unitary_frame(_complex_matrix(re, im))
+    return _unchecked_density(_spectrum(exps), frame)
 
 
 def maximally_mixed(n: int) -> DensityMatrix:
@@ -228,20 +242,41 @@ def maximally_mixed(n: int) -> DensityMatrix:
     return density_from_decomposition(spectrum, np.eye(n, dtype=complex))
 
 
-def _gaussian_matrix(g: np.random.Generator, n: int) -> np.ndarray:
-    # The one draw of random_hermitian, and the frame draw of random_density.
-    return g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
+def _draw_gaussian(g: np.random.Generator, re: np.ndarray, im: np.ndarray) -> None:
+    # The one draw of random_hermitian, and the frame draw of random_density:
+    # the real parts, then the imaginary parts, of an n x n Gaussian matrix.
+    g.standard_normal(out=re)
+    g.standard_normal(out=im)
 
 
 def _draw_state(
-    g: np.random.Generator, n: int, rank: int
-) -> tuple[np.ndarray, np.ndarray]:
-    # The draws of random_density, in order: the sorted spectrum, then the
-    # Gaussian matrix whose QR gives the frame.
-    spectrum = np.zeros(n)
-    spectrum[n - rank :] = g.dirichlet(np.ones(rank))
-    spectrum.sort()
-    return spectrum, _gaussian_matrix(g, n)
+    g: np.random.Generator,
+    rank: int,
+    exps: np.ndarray,
+    re: np.ndarray,
+    im: np.ndarray,
+) -> None:
+    # The draws of random_density, in order: ``rank`` standard exponentials
+    # into the tail of the zeroed row ``exps``, then the Gaussian matrix
+    # whose QR gives the frame.
+    g.standard_exponential(out=exps[exps.shape[-1] - rank :])
+    _draw_gaussian(g, re, im)
+
+
+def _spectrum(exps: np.ndarray) -> np.ndarray:
+    # Each row of exponentials scaled by one over its sequential sum, as
+    # NumPy's Dirichlet scales them, then sorted ascending; the zero padding
+    # stays exactly zero.  np.sum would sum pairwise from length 8 up and
+    # round differently.
+    spectrum = exps * (1.0 / np.add.accumulate(exps, axis=-1)[..., -1:])
+    spectrum.sort(axis=-1)
+    return spectrum
+
+
+def _complex_matrix(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    # The expression the draws were always combined with, so signed zeros
+    # round as they did.
+    return re + 1j * im
 
 
 def _unitary_frame(raw: np.ndarray) -> np.ndarray:

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcbounds as qc
-from qcbounds.errors import DegenerateCoefficient, DomainError, InvalidSpectrum
+from qcbounds.errors import (
+    DegenerateCoefficient,
+    DomainError,
+    InvalidSpectrum,
+    NonFinite,
+)
 
 from conftest import random_instance
 
@@ -207,3 +212,40 @@ def test_report_same_observable(mixed_qubit, pauli_x):
     report = qc.bound_report(mixed_qubit, pauli_x, pauli_x, 0.7)
     assert report.var_a == report.var_b
     assert report.refined <= report.product + 1e-12
+
+
+def witness_ratio(eps, q):
+    # Exact refined/product ratio of the qubit state diag(eps, 1 - eps)
+    # with the pair sigma_x, sigma_y, whose variances are both 1.
+    aq = abs(q)
+    if aq <= 1.0:
+        return ((1 - 2 * eps) * (1 - eps + aq * eps) / (1 - eps - aq * eps)) ** 2
+    return ((1 - 2 * eps) * (aq * (1 - eps) + eps) / (aq * (1 - eps) - eps)) ** 2
+
+
+@pytest.mark.parametrize("eps", [1e-8, 0.01, 0.25, 0.4])
+@pytest.mark.parametrize("q", [-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+def test_qubit_witness_ratio_closed_form(eps, q, pauli_x, pauli_y):
+    # A refined bound that is too small by any factor still passes the
+    # master inequality; the exact ratio of this family does not.
+    state = qc.density_from_decomposition(
+        np.array([eps, 1.0 - eps]), np.eye(2, dtype=complex)
+    )
+    report = qc.bound_report(state, pauli_x, pauli_y, q)
+    assert report.product == pytest.approx(1.0, rel=1e-12)
+    assert report.ratio == pytest.approx(witness_ratio(eps, q), rel=1e-12, abs=0.0)
+
+
+def test_overflowing_trace_term_raises_non_finite(mixed_qubit):
+    # Finite observables whose trace terms square past the float range:
+    # every bound reports NonFinite, not Python's bare OverflowError.
+    a = qc.make_hermitian(1e78 * np.array([[0.0, 1.0], [1.0, 0.0]]))
+    b = qc.make_hermitian(1e78 * np.array([[0.0, -1.0j], [1.0j, 0.0]]))
+    for bound in (
+        lambda: qc.bound_report(mixed_qubit, a, b, 0.5),
+        lambda: qc.refined_q_bound(mixed_qubit, a, b, 0.5),
+        lambda: qc.naive_q_bound(mixed_qubit, a, b, 0.5),
+        lambda: qc.robertson_bound(mixed_qubit, a, b),
+    ):
+        with pytest.raises(NonFinite, match="overflows"):
+            bound()

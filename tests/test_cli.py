@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -7,8 +8,11 @@ import numpy as np
 import pytest
 
 import qcbounds as qc
+from qcbounds import cli
 from qcbounds.cli import CSV_COLUMNS, main
-from qcbounds.generators import _gaussian_matrix, _unitary_frame
+from qcbounds.generators import _unitary_frame
+
+from conftest import random_instance
 
 
 # sha256 of five output streams, pinned so that a refactor of stream
@@ -171,7 +175,8 @@ def test_sweep_through_q_one_with_uniform_spectrum_and_shifted_observables(tmp_p
     # observables are shifted by +-1000 I, which leaves the bound alone but
     # makes the uncentred commutator trace 2.3e-10 from rounding.  Values
     # pinned for the installed NumPy 2.4.6, as the golden digests below.
-    frame = _unitary_frame(_gaussian_matrix(np.random.default_rng(9), 3))
+    g = np.random.default_rng(9)
+    frame = _unitary_frame(g.standard_normal((3, 3)) + 1j * g.standard_normal((3, 3)))
     state = qc.density_from_decomposition(np.full(3, 1 / 3), frame)
     shift = 1000.0 * np.eye(3)
     a = qc.make_hermitian(10 * qc.random_hermitian(3, qc.SeededRng(9, 1)).mat + shift)
@@ -185,6 +190,16 @@ def test_sweep_through_q_one_with_uniform_spectrum_and_shifted_observables(tmp_p
     assert run_cli("sweep", instance, "--out", out) == 0
     last = read_rows(out)[-1]
     assert (last[1], last[10]) == ("1.0", "0.0")  # q and refined
+
+
+def test_sweep_exits_2_when_a_trace_term_overflows(tmp_path, capsys, mixed_qubit):
+    a = qc.make_hermitian(1e78 * np.array([[0.0, 1.0], [1.0, 0.0]]))
+    b = qc.make_hermitian(1e78 * np.array([[0.0, -1.0j], [1.0j, 0.0]]))
+    instance = tmp_path / "huge.json"
+    qc.save_instance(instance, mixed_qubit, a, b)
+    assert run_cli("sweep", instance, "--out", tmp_path / "sweep.csv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "overflows" in err
 
 
 def test_sweep_malformed_file(tmp_path, capsys):
@@ -231,6 +246,47 @@ def test_module_entry_point_runs():
     assert proc.returncode == 0
     assert proc.stdout.startswith(",".join(CSV_COLUMNS))
     assert len(proc.stdout.splitlines()) == 4
+
+
+def old_csv_line(report):
+    # The CSV record as written before the one-pass formatter: a
+    # per-cell conversion of each field, joined in column order.
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, str):
+            return value
+        if isinstance(value, int):
+            return str(value)
+        return repr(float(value))
+
+    fields = {c: getattr(report, c) for c in CSV_COLUMNS}
+    fields["regime"] = fields["regime"].value
+    return ",".join(cell(fields[c]) for c in CSV_COLUMNS) + "\n"
+
+
+def test_csv_record_equals_per_cell_join(mixed_qubit, pauli_x, pauli_y):
+    identity = qc.make_hermitian(np.eye(2))
+    huge = qc.make_hermitian(1e200 * np.array([[0.0, 1.0], [1.0, 0.0]]))
+    reports = [
+        qc.bound_report(mixed_qubit, identity, pauli_x, 0.5),  # ratio None
+        qc.bound_report(*random_instance(5, 3), 0.7),
+    ]
+    reports += [
+        qc.bound_report(mixed_qubit, pauli_x, pauli_y, q)
+        for q in (-0.0, -1.0, 1.0, -3.0, 0.1, 2.5)
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        reports.append(qc.bound_report(mixed_qubit, huge, huge, 0.5))
+    lines = []
+    for report in reports:
+        out = io.StringIO()
+        cli._emit_record(out, "csv", report, None)
+        lines.append(out.getvalue())
+        assert lines[-1] == old_csv_line(report)
+    assert lines[0].endswith(",\n")  # the empty ratio cell
+    assert lines[2].startswith("2,-0.0,")
+    assert lines[-1].endswith(",inf,inf,inf,nan,nan,nan,nan,nan\n")
 
 
 def sha256_of(path):

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qcbounds as qc
 from qcbounds.errors import DomainError, InvalidDimension, InvalidRank
-from qcbounds.generators import _derived_streams, _DerivedStream, _spawn_words
+from qcbounds.generators import (
+    _derived_streams,
+    _DerivedStream,
+    _draw_state,
+    _spawn_words,
+    _spectrum,
+)
 
 
 def test_rng_requires_unsigned_64bit():
@@ -195,3 +201,36 @@ def test_derived_stream_serves_only_pcg64_seeding():
         stream.generate_state(8, np.uint32)
     with pytest.raises(DomainError):
         np.random.MT19937(stream)
+
+
+@st.composite
+def padded_ranks(draw):
+    rank = draw(st.integers(1, 32))
+    return rank, draw(st.integers(rank, 32))
+
+
+@given(st.integers(0, 2**64 - 1), padded_ranks())
+@example(0, (32, 32))
+@example(0, (3, 32))
+@settings(max_examples=150, deadline=None)
+def test_spectrum_equals_padded_sorted_dirichlet(seed, case):
+    # NumPy's Dirichlet(1, ..., 1) is standard exponentials times one over
+    # their sequential sum, so the state draw equals the old Dirichlet draw
+    # bit for bit and leaves the stream where it left it.  Measured on
+    # NumPy 2.4.6, as the golden digests in test_cli.py.
+    rank, n = case
+    stream = qc.SeededRng(seed, 2)
+    exps = np.zeros(n)
+    re, im = np.empty((2, n, n))
+    _draw_state(stream.generator(), rank, exps, re, im)
+    # The draw fills the tail of the row, where the padded spectrum has it.
+    assert not exps[: n - rank].any()
+
+    g = stream.generator()
+    expected = np.zeros(n)
+    expected[n - rank :] = g.dirichlet(np.ones(rank))
+    expected.sort()
+    assert _spectrum(exps).tobytes() == expected.tobytes()
+    assert _spectrum(exps[None, :])[0].tobytes() == expected.tobytes()
+    assert re.tobytes() == g.standard_normal((n, n)).tobytes()
+    assert im.tobytes() == g.standard_normal((n, n)).tobytes()

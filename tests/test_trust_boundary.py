@@ -26,7 +26,7 @@ from qcbounds.errors import (
     QcboundsError,
     TraceNotOne,
 )
-from qcbounds.generators import _gaussian_matrix, _unitary_frame
+from qcbounds.generators import _unitary_frame
 from qcbounds.hermitian import (
     EIG_CLAMP,
     HERMITICITY_RTOL,
@@ -227,7 +227,7 @@ def raw_matrices(draw):
         spectrum[-1] += 1.0 - spectrum.sum()
     else:
         spectrum = g.standard_normal(n) * 10.0 ** draw(st.integers(-3, 3))
-    frame = _unitary_frame(_gaussian_matrix(g, n))
+    frame = _unitary_frame(g.standard_normal((n, n)) + 1j * g.standard_normal((n, n)))
     raw = (frame * spectrum) @ frame.conj().T
     noise = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
     noise = noise - noise.conj().T
