@@ -86,7 +86,9 @@ def refined_coefficient(q: float, lambda_min: float, lambda_max: float) -> float
         docstring.  At ``lambda_min == 0`` both branches collapse
         algebraically to ``1/(1+|q|)^2``, which is returned exactly.
         ``math.inf`` flags a denominator magnitude below
-        ``DEGENERATE_DENOMINATOR``.
+        ``DEGENERATE_DENOMINATOR``.  Where the |q| > 1 branch overflows
+        (|q| past about 1e77), the value is ``C(1/|q|) / |q|^2``, the
+        same number in a form that stays in range.
     """
     classify_q(q)  # rejects non-finite q
     aq = abs(float(q))
@@ -95,6 +97,18 @@ def refined_coefficient(q: float, lambda_min: float, lambda_max: float) -> float
             f"need 0 <= lambda_min <= lambda_max with lambda_max > 0, "
             f"got ({lambda_min!r}, {lambda_max!r})"
         )
+    try:
+        return _coefficient(aq, lambda_min, lambda_max)
+    except OverflowError:
+        # Only a huge |q| gets here.  The branches mirror each other:
+        # C(|q|) = C(1/|q|) / |q|^2.
+        return _coefficient(1.0 / aq, lambda_min, lambda_max) / aq / aq
+
+
+def _coefficient(aq: float, lambda_min: float, lambda_max: float) -> float:
+    # The branch value at |q| = aq, as written in the module docstring.
+    # Raises OverflowError where a huge aq overflows it, either from ** or
+    # as an infinite denominator that would round the value to 0.
     if lambda_min == 0.0:
         # The extreme-eigenvalue weights cancel; no rounding allowed here.
         return 1.0 / (1.0 + aq) ** 2
@@ -104,6 +118,8 @@ def refined_coefficient(q: float, lambda_min: float, lambda_max: float) -> float
     else:
         numerator = (aq * lambda_max + lambda_min) ** 2
         denominator = (1.0 + aq) ** 2 * (aq * lambda_max - lambda_min) ** 2
+        if math.isinf(denominator):
+            raise OverflowError("coefficient denominator overflows")
     if denominator < DEGENERATE_DENOMINATOR:
         return math.inf
     return numerator / denominator
@@ -120,7 +136,9 @@ def refined_q_bound(
 
     A flagged-infinite coefficient is only reachable when the matching
     trace term vanishes, in which case the bound is defined as zero; a
-    non-vanishing term there raises ``DegenerateCoefficient``.
+    non-vanishing term there raises ``DegenerateCoefficient``.  Where a
+    huge |q| overflows the |q| > 1 form, the bound is evaluated as the
+    equal ``refined_coefficient(1/|q|) |Tr[rho [A0,B0]_(1/|q|)]|^2``.
     """
     return _traces(state, a, b).refined(float(q))
 
@@ -209,7 +227,11 @@ class BoundReport:
 def bound_report(
     state: DensityMatrix, a: HermitianMatrix, b: HermitianMatrix, q: float
 ) -> BoundReport:
-    """Evaluate all bounds on one instance and package them consistently."""
+    """Evaluate all bounds on one instance and package them consistently.
+
+    Raises ``NonFinite`` when a field would not be a finite float, as for
+    observables whose variance product overflows.
+    """
     return _report(_traces(state, a, b), q)
 
 
@@ -230,17 +252,32 @@ class _Traces(NamedTuple):
         return 0.25 * _squared(abs(self.commutator))
 
     def naive(self, aq: float) -> float:
-        magnitude = abs(complex(self.forward - aq * self.backward))
-        return _squared(magnitude) / (1.0 + aq) ** 2
+        if aq > 1.0:
+            try:
+                return _naive(aq, self.forward, self.backward)
+            except (OverflowError, NonFinite):
+                # A huge |q| overflows the direct form.  With p = 1/|q|,
+                # |F - |q| B|^2 / (1 + |q|)^2 = |B - p F|^2 / (1 + p)^2.
+                return _naive(1.0 / aq, self.backward, self.forward)
+        return _naive(aq, self.forward, self.backward)
 
     def refined(self, q: float) -> float:
+        classify_q(q)  # rejects non-finite q
         aq = abs(q)
-        coefficient = refined_coefficient(aq, self.lambda_min, self.lambda_max)
         if aq > 1.0:
-            term = complex(self.backward - aq * self.forward)
-        else:
-            term = complex(self.forward - aq * self.backward)
-        magnitude = abs(term)
+            try:
+                return self._weighted(aq, self.backward, self.forward, q)
+            except (OverflowError, NonFinite):
+                # A huge |q| overflows the direct form.  With p = 1/|q|,
+                # C(|q|) |B - |q| F|^2 = C(p) |F - p B|^2.
+                return self._weighted(1.0 / aq, self.forward, self.backward, q)
+        return self._weighted(aq, self.forward, self.backward, q)
+
+    def _weighted(self, aq: float, first, second, q: float) -> float:
+        # C(aq) |first - aq second|^2.  The coefficient comes first, so a
+        # |q| that overflows it never forms the bracket.
+        coefficient = _coefficient(aq, self.lambda_min, self.lambda_max)
+        magnitude = abs(complex(first - aq * second))
         if math.isinf(coefficient):
             if magnitude < DEGENERATE_TERM:
                 return 0.0
@@ -248,6 +285,12 @@ class _Traces(NamedTuple):
                 f"infinite coefficient with trace term {magnitude!r} at q={q!r}"
             )
         return coefficient * _squared(magnitude)
+
+
+def _naive(aq: float, first, second) -> float:
+    # |first - aq second|^2 / (1 + aq)^2.
+    denominator = (1.0 + aq) ** 2
+    return _squared(abs(complex(first - aq * second))) / denominator
 
 
 def _squared(magnitude: float) -> float:
@@ -316,6 +359,18 @@ def _report(t: _Traces, q: float) -> BoundReport:
     q = float(q)
     product = t.var_a * t.var_b
     refined = t.refined(q)
+    robertson = t.robertson()
+    naive_q = t.naive(abs(q))
+    # Observables too large for a float give infinite or NaN fields, which
+    # no record may carry; slack and ratio follow from these four.
+    for name, value in (
+        ("product", product),
+        ("robertson", robertson),
+        ("naive_q", naive_q),
+        ("refined", refined),
+    ):
+        if not math.isfinite(value):
+            raise NonFinite(f"{name} is {value!r}, not a finite float")
     return BoundReport(
         dim=t.dim,
         q=q,
@@ -325,8 +380,8 @@ def _report(t: _Traces, q: float) -> BoundReport:
         product=product,
         lambda_min=t.lambda_min,
         lambda_max=t.lambda_max,
-        robertson=t.robertson(),
-        naive_q=t.naive(abs(q)),
+        robertson=robertson,
+        naive_q=naive_q,
         refined=refined,
         slack=product - refined,
         ratio=None if product < RATIO_FLOOR else refined / product,

@@ -192,7 +192,14 @@ def cmd_verify(plan: TrialPlan, out=None) -> int:
 def cmd_sweep(
     instance_file, q_lo: float, q_hi: float, steps: int, output_format: str, out=None
 ) -> int:
-    """Evaluate a stored instance on a uniform q grid, endpoints included."""
+    """Evaluate a stored instance on a uniform q grid, endpoints included.
+
+    Every report of the grid comes from one evaluation pass over the
+    instance, so the six instance columns of the records are formatted
+    once, from the first report, and each record formats only its q
+    columns.  All reports are computed before the first byte is written,
+    so an instance the bounds refuse leaves no partial output.
+    """
     if steps < 1:
         print("invalid sweep: steps must be >= 1", file=sys.stderr)
         return 2
@@ -205,10 +212,11 @@ def cmd_sweep(
     state, a, b = load_instance(instance_file)
     grid = np.linspace(q_lo, q_hi, steps)
     reports = sweep_q(state, a, b, grid)
+    cells = _instance_cells(output_format, reports[0])
     with _out_stream(out) as stream:
         _emit_header(stream, output_format)
         for report in reports:
-            _emit_record(stream, output_format, report, None)
+            _emit_record(stream, output_format, report, None, cells)
     return 0
 
 
@@ -327,26 +335,63 @@ def _emit_header(stream, output_format: str) -> None:
         stream.write(",".join(CSV_COLUMNS) + "\n")
 
 
-def _emit_record(stream, output_format: str, report: BoundReport, replay) -> None:
+def _instance_cells(output_format: str, report: BoundReport) -> str:
+    """Return the text of the six instance columns of ``report``'s record.
+
+    These columns (``lambda_min`` through ``robertson``) read only the
+    instance, so every record of one ``sweep`` shares them.  CSV gives the
+    cells joined by ``,``; JSON gives the ``"name": value`` members joined
+    by ``", "``.  Each float is written as ``repr(float(x))``.
+    """
+    r = report
     if output_format == "csv":
-        stream.write(_csv_record(report))
-        return
-    fields = _record_fields(report)
-    if replay is not None:
-        fields["violation"] = True
-        fields["instance"] = {k: replay[k] for k in ("dim", "rho", "a", "b")}
-    stream.write(json.dumps(fields) + "\n")
-
-
-def _csv_record(r: BoundReport) -> str:
-    # One line in CSV_COLUMNS order: repr of every float, an empty cell
-    # for a missing ratio.
-    ratio = "" if r.ratio is None else repr(float(r.ratio))
+        return (
+            f"{float(r.lambda_min)!r},{float(r.lambda_max)!r},{float(r.var_a)!r},"
+            f"{float(r.var_b)!r},{float(r.product)!r},{float(r.robertson)!r}"
+        )
     return (
-        f"{r.dim},{float(r.q)!r},{r.regime.value},{float(r.lambda_min)!r},"
-        f"{float(r.lambda_max)!r},{float(r.var_a)!r},{float(r.var_b)!r},"
-        f"{float(r.product)!r},{float(r.robertson)!r},{float(r.naive_q)!r},"
-        f"{float(r.refined)!r},{float(r.slack)!r},{ratio}\n"
+        f'"lambda_min": {float(r.lambda_min)!r}, '
+        f'"lambda_max": {float(r.lambda_max)!r}, '
+        f'"var_a": {float(r.var_a)!r}, "var_b": {float(r.var_b)!r}, '
+        f'"product": {float(r.product)!r}, "robertson": {float(r.robertson)!r}'
+    )
+
+
+def _emit_record(
+    stream, output_format: str, report: BoundReport, replay, cells=None
+) -> None:
+    """Write ``report`` as one record, formatted in one pass.
+
+    ``cells`` is the ``_instance_cells`` text of the report's instance;
+    ``sweep`` formats it once for all its records, and when it is None it
+    is formatted from ``report``.  Floats are written as ``repr(float(x))``,
+    ``dim`` as an int and the regime by its value.  CSV leaves the cell of
+    a missing ratio empty.  JSON writes the layout of ``json.dumps`` with
+    its default separators: keys in ``CSV_COLUMNS`` order, ``null`` for a
+    missing ratio, and for a violated trial (``replay`` not None) the
+    members ``"violation": true`` and ``"instance"`` at the end.  Every
+    float of a report is finite, since ``bound_report`` refuses others, so
+    its repr is also its JSON text.
+    """
+    r = report
+    if cells is None:
+        cells = _instance_cells(output_format, r)
+    if output_format == "csv":
+        ratio = "" if r.ratio is None else repr(float(r.ratio))
+        stream.write(
+            f"{r.dim},{float(r.q)!r},{r.regime.value},{cells},"
+            f"{float(r.naive_q)!r},{float(r.refined)!r},{float(r.slack)!r},{ratio}\n"
+        )
+        return
+    ratio = "null" if r.ratio is None else repr(float(r.ratio))
+    violation = ""
+    if replay is not None:
+        instance = {k: replay[k] for k in ("dim", "rho", "a", "b")}
+        violation = f', "violation": true, "instance": {json.dumps(instance)}'
+    stream.write(
+        f'{{"dim": {r.dim}, "q": {float(r.q)!r}, "regime": "{r.regime.value}", '
+        f'{cells}, "naive_q": {float(r.naive_q)!r}, "refined": {float(r.refined)!r}, '
+        f'"slack": {float(r.slack)!r}, "ratio": {ratio}{violation}}}\n'
     )
 
 

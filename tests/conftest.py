@@ -45,3 +45,12 @@ def random_instance(seed, n, rank=None):
     a = qc.random_hermitian(n, rng.split(1))
     b = qc.random_hermitian(n, rng.split(2))
     return state, a, b
+
+
+def witness_ratio(eps, q):
+    """Exact refined/product ratio of the qubit state diag(eps, 1 - eps)
+    with the pair sigma_x, sigma_y, whose variances are both 1."""
+    aq = abs(q)
+    if aq <= 1.0:
+        return ((1 - 2 * eps) * (1 - eps + aq * eps) / (1 - eps - aq * eps)) ** 2
+    return ((1 - 2 * eps) * (aq * (1 - eps) + eps) / (aq * (1 - eps) - eps)) ** 2

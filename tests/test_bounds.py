@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcbounds as qc
+from qcbounds import bounds
 from qcbounds.errors import (
     DegenerateCoefficient,
     DomainError,
@@ -13,7 +14,7 @@ from qcbounds.errors import (
     NonFinite,
 )
 
-from conftest import random_instance
+from conftest import random_instance, witness_ratio
 
 
 def test_robertson_pauli_value(mixed_qubit, pauli_x, pauli_y):
@@ -214,15 +215,6 @@ def test_report_same_observable(mixed_qubit, pauli_x):
     assert report.refined <= report.product + 1e-12
 
 
-def witness_ratio(eps, q):
-    # Exact refined/product ratio of the qubit state diag(eps, 1 - eps)
-    # with the pair sigma_x, sigma_y, whose variances are both 1.
-    aq = abs(q)
-    if aq <= 1.0:
-        return ((1 - 2 * eps) * (1 - eps + aq * eps) / (1 - eps - aq * eps)) ** 2
-    return ((1 - 2 * eps) * (aq * (1 - eps) + eps) / (aq * (1 - eps) - eps)) ** 2
-
-
 @pytest.mark.parametrize("eps", [1e-8, 0.01, 0.25, 0.4])
 @pytest.mark.parametrize("q", [-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
 def test_qubit_witness_ratio_closed_form(eps, q, pauli_x, pauli_y):
@@ -249,3 +241,57 @@ def test_overflowing_trace_term_raises_non_finite(mixed_qubit):
     ):
         with pytest.raises(NonFinite, match="overflows"):
             bound()
+
+
+@pytest.mark.parametrize("eps", [1e-8, 0.01, 0.25, 0.4])
+@pytest.mark.parametrize(
+    "q", [1e10, -1e10, 1e78, -1e78, 1e200, -1e200, 1e300, -1e300]
+)
+def test_qubit_witness_ratio_at_huge_q(eps, q, pauli_x, pauli_y):
+    # Past |q| ~ 1e77 the direct |q| > 1 form overflows; the bounds must
+    # still reach their finite limits, not 0.0 or an OverflowError.
+    state = qc.density_from_decomposition(
+        np.array([eps, 1.0 - eps]), np.eye(2, dtype=complex)
+    )
+    report = qc.bound_report(state, pauli_x, pauli_y, q)
+    assert report.product == pytest.approx(1.0, rel=1e-12)
+    assert report.ratio == pytest.approx(witness_ratio(eps, q), rel=1e-12, abs=0.0)
+    # Tr[rho A0 B0] = -Tr[rho B0 A0] = i (2 eps - 1): the naive bound is
+    # (1 - 2 eps)^2 at every q.
+    assert report.naive_q == pytest.approx((1 - 2 * eps) ** 2, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("lambda_min", [0.0, 0.1, 0.25])
+@pytest.mark.parametrize("q", [2.0, 1e10, 1e77, 1e78, 1e100, 1e153, -1e153])
+def test_coefficient_at_huge_q_matches_high_precision(q, lambda_min):
+    mpmath = pytest.importorskip("mpmath")
+    lambda_max = 0.75
+    with mpmath.workdps(50):
+        aq = mpmath.mpf(abs(q))
+        exact = (aq * lambda_max + lambda_min) ** 2 / (
+            (1 + aq) ** 2 * (aq * lambda_max - lambda_min) ** 2
+        )
+        expected = float(exact)
+    value = qc.refined_coefficient(q, lambda_min, lambda_max)
+    assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@given(
+    st.integers(0, 2**32),
+    st.integers(2, 6),
+    st.booleans(),
+    st.floats(1.0, 50.0, exclude_min=True),
+)
+@settings(max_examples=60, deadline=None)
+def test_mirrored_forms_equal_direct_forms(seed, n, deficient, aq):
+    # The fallback rests on two identities, p = 1/|q|:
+    # C(|q|) |B - |q| F|^2 = C(p) |F - p B|^2 and
+    # |F - |q| B|^2 / (1 + |q|)^2 = |B - p F|^2 / (1 + p)^2.
+    t = bounds._traces(*random_instance(seed, n, n - 1 if deficient else n))
+    p = 1.0 / aq
+    direct = t._weighted(aq, t.backward, t.forward, aq)
+    mirrored = t._weighted(p, t.forward, t.backward, aq)
+    assert mirrored == pytest.approx(direct, rel=1e-12, abs=0.0)
+    direct = bounds._naive(aq, t.forward, t.backward)
+    mirrored = bounds._naive(p, t.backward, t.forward)
+    assert mirrored == pytest.approx(direct, rel=1e-12, abs=0.0)

@@ -3,25 +3,33 @@ import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qcbounds as qc
 from qcbounds import cli
 from qcbounds.cli import CSV_COLUMNS, main
+from qcbounds.errors import NonFinite
 from qcbounds.generators import _unitary_frame
 
-from conftest import random_instance
+from conftest import random_instance, witness_ratio
 
 
-# sha256 of five output streams, pinned so that a refactor of stream
-# derivation, instance construction or bound evaluation cannot change an
-# emitted byte unnoticed.  The two verify digests cover a one-word seed (7)
-# and a two-word seed (2**64 - 1), whose streams verify derives in batches.
-# The third runs across the edges of verify's batches: an n = 1 group, the
-# 512-trial chunk edge inside n = 32, and the four-trial n = 32 batches.
-# They hold for the installed NumPy 2.4.6: random_density draws its frame
+# sha256 of seven output streams, pinned so that a refactor of stream
+# derivation, instance construction, bound evaluation or record formatting
+# cannot change an emitted byte unnoticed.  The two verify digests cover a
+# one-word seed (7) and a two-word seed (2**64 - 1), whose streams verify
+# derives in batches.  The third runs across the edges of verify's batches:
+# an n = 1 group, the 512-trial chunk edge inside n = 32, and the four-trial
+# n = 32 batches.  The fourth is a JSON verify run whose absurd tolerance
+# flags one trial, so it pins a violation record with its embedded
+# instance.  The sweep digests pin one instance in both formats.  All seven
+# hold for the installed NumPy 2.4.6: random_density draws its frame
 # through qr, make_density and the search decoder decompose through eigh,
 # all LAPACK, whose rounding may differ under another NumPy or BLAS build.
 VERIFY_CSV_SHA256 = "d4d42239af2f5bb0114aed028bd7c558141ce556bfd96a90a75c525a4b532926"
@@ -31,7 +39,11 @@ VERIFY_WIDE_SEED_CSV_SHA256 = (
 VERIFY_BATCH_EDGES_CSV_SHA256 = (
     "e7ce93e3d96a40159e9db1af3bcfd408c0158848365d446a67104cd340919b41"
 )
+VERIFY_VIOLATION_JSON_SHA256 = (
+    "e7d45bca885c79ee8b8327ab7da7a07461868047f05e5688b515c3665b8eb0ad"
+)
 SWEEP_JSON_SHA256 = "3424150cd3903dd83462ebf667205290ce72d49a98bcc845db72bca06a737f03"
+SWEEP_CSV_SHA256 = "381ef41e7d4ecb289fe7dc83b7d222a22c0823a03c4fc40e91f65147266d7449"
 SEARCH_JSON_SHA256 = "8e11d9cfb486cf0aa84765bc86a1afca78ae14d368dc2f61d2fad2a3d098813e"
 
 
@@ -265,28 +277,142 @@ def old_csv_line(report):
     return ",".join(cell(fields[c]) for c in CSV_COLUMNS) + "\n"
 
 
-def test_csv_record_equals_per_cell_join(mixed_qubit, pauli_x, pauli_y):
+def old_json_line(report, replay=None):
+    # The JSON record as written before the one-pass formatter:
+    # json.dumps of the record's fields in column order, with the
+    # violation members of a flagged trial appended.
+    fields = {c: getattr(report, c) for c in CSV_COLUMNS}
+    fields["regime"] = fields["regime"].value
+    if replay is not None:
+        fields["violation"] = True
+        fields["instance"] = {k: replay[k] for k in ("dim", "rho", "a", "b")}
+    return json.dumps(fields) + "\n"
+
+
+def formatter_reports(mixed_qubit, pauli_x, pauli_y):
     identity = qc.make_hermitian(np.eye(2))
-    huge = qc.make_hermitian(1e200 * np.array([[0.0, 1.0], [1.0, 0.0]]))
     reports = [
         qc.bound_report(mixed_qubit, identity, pauli_x, 0.5),  # ratio None
         qc.bound_report(*random_instance(5, 3), 0.7),
+        qc.bound_report(*random_instance(6, 5, 2), -1.7),
     ]
     reports += [
         qc.bound_report(mixed_qubit, pauli_x, pauli_y, q)
         for q in (-0.0, -1.0, 1.0, -3.0, 0.1, 2.5)
     ]
-    with np.errstate(over="ignore", invalid="ignore"):
-        reports.append(qc.bound_report(mixed_qubit, huge, huge, 0.5))
+    return reports
+
+
+def emitted(output_format, report, replay=None):
+    out = io.StringIO()
+    cli._emit_record(out, output_format, report, replay)
+    return out.getvalue()
+
+
+def test_csv_record_equals_per_cell_join(mixed_qubit, pauli_x, pauli_y):
     lines = []
-    for report in reports:
-        out = io.StringIO()
-        cli._emit_record(out, "csv", report, None)
-        lines.append(out.getvalue())
+    for report in formatter_reports(mixed_qubit, pauli_x, pauli_y):
+        lines.append(emitted("csv", report))
         assert lines[-1] == old_csv_line(report)
     assert lines[0].endswith(",\n")  # the empty ratio cell
-    assert lines[2].startswith("2,-0.0,")
-    assert lines[-1].endswith(",inf,inf,inf,nan,nan,nan,nan,nan\n")
+    assert lines[3].startswith("2,-0.0,")
+    # Observables whose variances overflow a float give no record; they
+    # used to give one of inf and NaN cells.
+    huge = qc.make_hermitian(1e200 * np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFinite, match="product"):
+            qc.bound_report(mixed_qubit, huge, huge, 0.5)
+
+
+def test_json_record_equals_json_dumps(mixed_qubit, pauli_x, pauli_y):
+    lines = []
+    for report in formatter_reports(mixed_qubit, pauli_x, pauli_y):
+        lines.append(emitted("json", report))
+        assert lines[-1] == old_json_line(report)
+        assert list(json.loads(lines[-1])) == list(CSV_COLUMNS)
+    assert lines[0].endswith(', "ratio": null}\n')
+    assert lines[3].startswith('{"dim": 2, "q": -0.0, "regime": "Zero", ')
+
+
+def test_json_violation_record_equals_nested_json_dumps(mixed_qubit, pauli_x, pauli_y):
+    state, a, b = random_instance(8, 3, 2)
+    replay = qc.instance_payload(state, a, b)
+    replay["q"] = 0.3
+    for report in (
+        qc.bound_report(state, a, b, 0.3),
+        qc.bound_report(mixed_qubit, qc.make_hermitian(np.eye(2)), pauli_x, 0.5),
+    ):
+        line = emitted("json", report, replay)
+        assert line == old_json_line(report, replay)
+        record = json.loads(line)
+        assert list(record)[-2:] == ["violation", "instance"]
+        assert record["instance"]["dim"] == 3
+
+
+SWEEP_ENDS = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 1.0]), st.floats(-5.0, 5.0))
+
+
+@given(
+    seed=st.integers(0, 2**32),
+    n=st.integers(1, 6),
+    deficient=st.booleans(),
+    ends=st.tuples(SWEEP_ENDS, SWEEP_ENDS).map(sorted),
+    steps=st.integers(1, 40),
+)
+@example(seed=1, n=3, deficient=True, ends=[-1.0, -0.0], steps=5)
+@example(seed=2, n=4, deficient=False, ends=[-1.0, 1.0], steps=9)
+@settings(max_examples=40, deadline=None)
+def test_sweep_lines_equal_per_report_lines(seed, n, deficient, ends, steps):
+    # cmd_sweep formats the instance columns once; every line must still
+    # be the line the old per-report formatters wrote.
+    rank = max(1, n - 1) if deficient else n
+    q_lo, q_hi = ends
+    with tempfile.TemporaryDirectory() as tmp:
+        instance = Path(tmp) / "instance.json"
+        qc.save_instance(instance, *random_instance(seed, n, rank))
+        reports = qc.sweep_q(
+            *qc.load_instance(instance), np.linspace(q_lo, q_hi, steps)
+        )
+        for output_format, old_line in (("csv", old_csv_line), ("json", old_json_line)):
+            out = Path(tmp) / f"sweep.{output_format}"
+            assert cli.cmd_sweep(instance, q_lo, q_hi, steps, output_format, out) == 0
+            lines = out.read_text().splitlines(keepends=True)
+            if output_format == "csv":
+                assert lines.pop(0) == ",".join(CSV_COLUMNS) + "\n"
+            assert lines == [old_line(report) for report in reports]
+
+
+def test_sweep_exits_2_when_the_variances_overflow(tmp_path, capsys, mixed_qubit):
+    a = qc.make_hermitian(1e200 * np.array([[0.0, 1.0], [1.0, 0.0]]))
+    b = qc.make_hermitian(1e200 * np.array([[0.0, -1.0j], [1.0j, 0.0]]))
+    instance = tmp_path / "huge.json"
+    qc.save_instance(instance, mixed_qubit, a, b)
+    out = tmp_path / "sweep.ndjson"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli("sweep", instance, "--format", "json", "--out", out)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_sweep_at_huge_q_gives_the_witness_bound(pauli_file, tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", pauli_file, "--q-lo=-1e200", "--q-hi", "1e200",
+                   "--out", out) == 0
+    rows = read_rows(out)
+    assert len(rows) == 11
+    for row in rows:
+        q, refined = float(row[1]), float(row[10])
+        assert refined == pytest.approx(witness_ratio(0.25, q), rel=1e-12, abs=0.0)
+
+
+def test_verify_at_huge_q_gives_nonzero_bounds(tmp_path):
+    out = tmp_path / "run.csv"
+    assert run_cli("verify", "--dims", "3", "--trials", "20", "--seed", "0",
+                   "--q-lo", "1e100", "--q-hi", "1e101", "--out", out) == 0
+    rows = read_rows(out)
+    assert len(rows) == 20
+    assert all(float(row[10]) > 0.0 for row in rows)
 
 
 def sha256_of(path):
@@ -309,6 +435,16 @@ def test_verify_csv_golden_digest_two_word_seed(tmp_path):
     assert sha256_of(out) == VERIFY_WIDE_SEED_CSV_SHA256
 
 
+def test_verify_json_golden_digest_with_a_violation(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "golden.ndjson"
+    assert run_cli("verify", "--dims", "1,2,3,5", "--trials", "40", "--seed", "9",
+                   "--tolerance", "1e-30", "--format", "json", "--out", out) == 1
+    capsys.readouterr()
+    assert '"violation": true' in out.read_text()
+    assert sha256_of(out) == VERIFY_VIOLATION_JSON_SHA256
+
+
 def test_verify_csv_golden_digest_across_batch_edges(tmp_path):
     out = tmp_path / "golden.csv"
     assert run_cli("verify", "--dims", "1,5,32", "--trials", "200",
@@ -328,7 +464,7 @@ def test_cli_import_leaves_numpy_random_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-def test_sweep_json_golden_digest(tmp_path):
+def sweep_golden_instance(tmp_path):
     rng = qc.SeededRng(2024, 0)
     instance = tmp_path / "instance.json"
     qc.save_instance(
@@ -337,10 +473,23 @@ def test_sweep_json_golden_digest(tmp_path):
         qc.random_hermitian(3, rng.split(1)),
         qc.random_hermitian(3, rng.split(2)),
     )
+    return instance
+
+
+def test_sweep_json_golden_digest(tmp_path):
+    instance = sweep_golden_instance(tmp_path)
     out = tmp_path / "golden.ndjson"
     assert run_cli("sweep", instance, "--q-lo", "-3", "--q-hi", "3",
                    "--steps", "61", "--format", "json", "--out", out) == 0
     assert sha256_of(out) == SWEEP_JSON_SHA256
+
+
+def test_sweep_csv_golden_digest(tmp_path):
+    instance = sweep_golden_instance(tmp_path)
+    out = tmp_path / "golden.csv"
+    assert run_cli("sweep", instance, "--q-lo", "-3", "--q-hi", "3",
+                   "--steps", "61", "--format", "csv", "--out", out) == 0
+    assert sha256_of(out) == SWEEP_CSV_SHA256
 
 
 def test_search_json_golden_digest(tmp_path, capsys):
