@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -201,12 +200,13 @@ def schwarz_split(
     return lhs, sum_a * sum_b
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Every bound evaluated on one (state, A, B, q) instance.
 
     ``refined`` is ``refined_q_bound`` at ``q``, including at q = 1;
     ``ratio`` is None when the variance product sits below ``RATIO_FLOOR``.
+    An immutable named tuple: its fields read by name or by position, in
+    the order below, which is also the column order of the CLI records.
     """
 
     dim: int
@@ -263,7 +263,10 @@ class _Traces(NamedTuple):
 
     def refined(self, q: float) -> float:
         classify_q(q)  # rejects non-finite q
-        aq = abs(q)
+        return self._refined(q, abs(q))
+
+    def _refined(self, q: float, aq: float) -> float:
+        # refined at a finite q with aq = |q|.
         if aq > 1.0:
             try:
                 return self._weighted(aq, self.backward, self.forward, q)
@@ -285,6 +288,18 @@ class _Traces(NamedTuple):
                 f"infinite coefficient with trace term {magnitude!r} at q={q!r}"
             )
         return coefficient * _squared(magnitude)
+
+    def _bounds(self, q: float, aq: float) -> tuple[float, float, float]:
+        # refined, robertson and naive at a finite q with aq = |q|, raising
+        # what refined, robertson and naive raise, in that order.  Where
+        # |q| <= 1 and the coefficient is finite, refined and naive square
+        # the same bracket |F - |q| B|, so it is formed and squared once.
+        if aq <= 1.0:
+            coefficient = _coefficient(aq, self.lambda_min, self.lambda_max)
+            if not math.isinf(coefficient):
+                sq = _squared(abs(complex(self.forward - aq * self.backward)))
+                return coefficient * sq, self.robertson(), sq / (1.0 + aq) ** 2
+        return self._refined(q, aq), self.robertson(), self.naive(aq)
 
 
 def _naive(aq: float, first, second) -> float:
@@ -356,11 +371,18 @@ def _row(dim: int, row) -> _Traces:
 
 
 def _report(t: _Traces, q: float) -> BoundReport:
+    """Return the ``BoundReport`` of the instance read by ``t`` at ``q``.
+
+    The scalar layer of ``bound_report``, ``sweep_q`` and ``verify``.  It
+    classifies q once, which also rejects a non-finite q, and takes the
+    three bounds from one ``_Traces._bounds`` call.  Raises ``NonFinite``
+    when ``product``, ``robertson``, ``naive_q`` or ``refined`` (checked in
+    that order) is not a finite float.
+    """
     q = float(q)
+    regime = classify_q(q)
     product = t.var_a * t.var_b
-    refined = t.refined(q)
-    robertson = t.robertson()
-    naive_q = t.naive(abs(q))
+    refined, robertson, naive_q = t._bounds(q, abs(q))
     # Observables too large for a float give infinite or NaN fields, which
     # no record may carry; slack and ratio follow from these four.
     for name, value in (
@@ -372,17 +394,17 @@ def _report(t: _Traces, q: float) -> BoundReport:
         if not math.isfinite(value):
             raise NonFinite(f"{name} is {value!r}, not a finite float")
     return BoundReport(
-        dim=t.dim,
-        q=q,
-        regime=classify_q(q),
-        var_a=t.var_a,
-        var_b=t.var_b,
-        product=product,
-        lambda_min=t.lambda_min,
-        lambda_max=t.lambda_max,
-        robertson=robertson,
-        naive_q=naive_q,
-        refined=refined,
-        slack=product - refined,
-        ratio=None if product < RATIO_FLOOR else refined / product,
+        t.dim,
+        q,
+        regime,
+        t.var_a,
+        t.var_b,
+        product,
+        t.lambda_min,
+        t.lambda_max,
+        robertson,
+        naive_q,
+        refined,
+        product - refined,
+        None if product < RATIO_FLOOR else refined / product,
     )

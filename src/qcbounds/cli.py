@@ -97,6 +97,8 @@ class TrialPlan:
             out.append("q bounds must be finite")
         elif self.q_lo > self.q_hi:
             out.append("q-lo must not exceed q-hi")
+        elif not np.isfinite(self.q_hi - self.q_lo):
+            out.append("q-hi - q-lo must be a finite float")
         if self.rank_policy not in ("full", "mixed"):
             out.append(f"unknown rank policy {self.rank_policy!r}")
         if not 0 <= self.seed < _UINT64_BOUND:
@@ -108,8 +110,7 @@ class TrialPlan:
         return out
 
 
-@dataclass(frozen=True)
-class _TrialOutcome:
+class _TrialOutcome(NamedTuple):
     index: int
     report: BoundReport
     violated: bool
@@ -206,6 +207,9 @@ def cmd_sweep(
     if not (np.isfinite(q_lo) and np.isfinite(q_hi)) or q_lo > q_hi:
         print("invalid sweep: need finite q-lo <= q-hi", file=sys.stderr)
         return 2
+    if not np.isfinite(q_hi - q_lo):
+        print("invalid sweep: q-hi - q-lo must be a finite float", file=sys.stderr)
+        return 2
     if output_format not in ("csv", "json"):
         print(f"invalid sweep: unknown format {output_format!r}", file=sys.stderr)
         return 2
@@ -264,9 +268,7 @@ def _run_batch(plan: TrialPlan, dim: int, first: int, streams):
         replay = None
         if violated:
             replay = _replay(dim, draws.ranks[offset], streams[offset], q)
-        yield _TrialOutcome(
-            index=first + offset, report=report, violated=violated, replay=replay
-        )
+        yield _TrialOutcome(first + offset, report, violated, replay)
 
 
 def _draw_batch(plan: TrialPlan, dim: int, first: int, streams) -> _Draws:
@@ -343,17 +345,17 @@ def _instance_cells(output_format: str, report: BoundReport) -> str:
     cells joined by ``,``; JSON gives the ``"name": value`` members joined
     by ``", "``.  Each float is written as ``repr(float(x))``.
     """
-    r = report
+    var_a, var_b, product, lambda_min, lambda_max, robertson = report[3:9]
     if output_format == "csv":
         return (
-            f"{float(r.lambda_min)!r},{float(r.lambda_max)!r},{float(r.var_a)!r},"
-            f"{float(r.var_b)!r},{float(r.product)!r},{float(r.robertson)!r}"
+            f"{float(lambda_min)!r},{float(lambda_max)!r},{float(var_a)!r},"
+            f"{float(var_b)!r},{float(product)!r},{float(robertson)!r}"
         )
     return (
-        f'"lambda_min": {float(r.lambda_min)!r}, '
-        f'"lambda_max": {float(r.lambda_max)!r}, '
-        f'"var_a": {float(r.var_a)!r}, "var_b": {float(r.var_b)!r}, '
-        f'"product": {float(r.product)!r}, "robertson": {float(r.robertson)!r}'
+        f'"lambda_min": {float(lambda_min)!r}, '
+        f'"lambda_max": {float(lambda_max)!r}, '
+        f'"var_a": {float(var_a)!r}, "var_b": {float(var_b)!r}, '
+        f'"product": {float(product)!r}, "robertson": {float(robertson)!r}'
     )
 
 
@@ -365,33 +367,34 @@ def _emit_record(
     ``cells`` is the ``_instance_cells`` text of the report's instance;
     ``sweep`` formats it once for all its records, and when it is None it
     is formatted from ``report``.  Floats are written as ``repr(float(x))``,
-    ``dim`` as an int and the regime by its value.  CSV leaves the cell of
-    a missing ratio empty.  JSON writes the layout of ``json.dumps`` with
-    its default separators: keys in ``CSV_COLUMNS`` order, ``null`` for a
-    missing ratio, and for a violated trial (``replay`` not None) the
-    members ``"violation": true`` and ``"instance"`` at the end.  Every
-    float of a report is finite, since ``bound_report`` refuses others, so
-    its repr is also its JSON text.
+    ``dim`` as an int and the regime by its value, read as the member's
+    ``_value_`` rather than through the slower ``value`` property.  CSV
+    leaves the cell of a missing ratio empty.  JSON writes the layout of
+    ``json.dumps`` with its default separators: keys in ``CSV_COLUMNS``
+    order, ``null`` for a missing ratio, and for a violated trial
+    (``replay`` not None) the members ``"violation": true`` and
+    ``"instance"`` at the end.  Every float of a report is finite, since
+    ``bound_report`` refuses others, so its repr is also its JSON text.
     """
-    r = report
+    dim, q, regime, _, _, _, _, _, _, naive_q, refined, slack, ratio = report
     if cells is None:
-        cells = _instance_cells(output_format, r)
+        cells = _instance_cells(output_format, report)
     if output_format == "csv":
-        ratio = "" if r.ratio is None else repr(float(r.ratio))
+        ratio = "" if ratio is None else repr(float(ratio))
         stream.write(
-            f"{r.dim},{float(r.q)!r},{r.regime.value},{cells},"
-            f"{float(r.naive_q)!r},{float(r.refined)!r},{float(r.slack)!r},{ratio}\n"
+            f"{dim},{float(q)!r},{regime._value_},{cells},"
+            f"{float(naive_q)!r},{float(refined)!r},{float(slack)!r},{ratio}\n"
         )
         return
-    ratio = "null" if r.ratio is None else repr(float(r.ratio))
+    ratio = "null" if ratio is None else repr(float(ratio))
     violation = ""
     if replay is not None:
         instance = {k: replay[k] for k in ("dim", "rho", "a", "b")}
         violation = f', "violation": true, "instance": {json.dumps(instance)}'
     stream.write(
-        f'{{"dim": {r.dim}, "q": {float(r.q)!r}, "regime": "{r.regime.value}", '
-        f'{cells}, "naive_q": {float(r.naive_q)!r}, "refined": {float(r.refined)!r}, '
-        f'"slack": {float(r.slack)!r}, "ratio": {ratio}{violation}}}\n'
+        f'{{"dim": {dim}, "q": {float(q)!r}, "regime": "{regime._value_}", '
+        f'{cells}, "naive_q": {float(naive_q)!r}, "refined": {float(refined)!r}, '
+        f'"slack": {float(slack)!r}, "ratio": {ratio}{violation}}}\n'
     )
 
 

@@ -194,6 +194,39 @@ def test_report_pauli_fields(mixed_qubit, pauli_x, pauli_y):
     assert report.lambda_max == pytest.approx(0.75)
 
 
+WITNESS_REPORT_REPR = (
+    "BoundReport(dim=2, q=0.5, regime=<QRegime.POSITIVE_LEQ_ONE: 'PositiveLeqOne'>, "
+    "var_a=1.0, var_b=1.0, product=1.0, lambda_min=0.25, lambda_max=0.75, "
+    "robertson=0.25, naive_q=0.25, refined=0.49, slack=0.51, ratio=0.49)"
+)
+
+
+def test_report_contract(mixed_qubit, pauli_x, pauli_y):
+    # Field order, repr, immutability and value equality of a report.
+    report = qc.bound_report(mixed_qubit, pauli_x, pauli_y, 0.5)
+    assert qc.BoundReport.__match_args__ == (
+        "dim", "q", "regime", "var_a", "var_b", "product", "lambda_min",
+        "lambda_max", "robertson", "naive_q", "refined", "slack", "ratio",
+    )
+    assert repr(report) == WITNESS_REPORT_REPR
+    with pytest.raises(AttributeError):
+        report.refined = 0.0
+    again = qc.bound_report(mixed_qubit, pauli_x, pauli_y, 0.5)
+    assert again is not report
+    assert again == report
+    assert hash(again) == hash(report)
+
+
+@pytest.mark.parametrize("q", [0.0, 0.5, 1.0, -1.0, 3.0])
+def test_overflowing_variances_raise_non_finite_product(mixed_qubit, q):
+    a = qc.make_hermitian(1e200 * np.array([[0.0, 1.0], [1.0, 0.0]]))
+    b = qc.make_hermitian(1e200 * np.array([[0.0, -1.0j], [1.0j, 0.0]]))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        NonFinite, match=r"^product is inf, not a finite float$"
+    ):
+        qc.bound_report(mixed_qubit, a, b, q)
+
+
 def test_report_equality_instance(mixed_qubit, pauli_x, pauli_y):
     report = qc.bound_report(mixed_qubit, pauli_x, pauli_y, 1.0)
     assert report.refined == pytest.approx(1.0)

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -413,6 +414,28 @@ def test_verify_at_huge_q_gives_nonzero_bounds(tmp_path):
     rows = read_rows(out)
     assert len(rows) == 20
     assert all(float(row[10]) > 0.0 for row in rows)
+
+
+def test_verify_rejects_a_q_span_that_overflows(tmp_path, capsys):
+    # Both ends are finite, but q-hi - q-lo is not.
+    out = tmp_path / "run.csv"
+    assert run_cli("verify", "--dims", "2", "--trials", "20",
+                   "--q-lo=-1e308", "--q-hi", "1e308", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid plan: ") and "q-hi - q-lo" in err
+    assert not out.exists()
+
+
+def test_sweep_rejects_a_q_span_that_overflows(pauli_file, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("sweep", pauli_file, "--q-lo=-1e308", "--q-hi", "1e308",
+                       "--steps", "3", "--out", out)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid sweep: ") and "q-hi - q-lo" in err
+    assert not out.exists()
 
 
 def sha256_of(path):

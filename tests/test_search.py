@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcbounds as qc
-from qcbounds.errors import BudgetZero, DomainError, InvalidDimension
+from qcbounds.errors import (
+    BudgetZero,
+    DegenerateCoefficient,
+    DomainError,
+    InvalidDimension,
+)
 
 from conftest import random_instance
 
@@ -100,11 +105,20 @@ def test_search_best_ratio_recomputes():
 
 
 # q values where the bracket, the operand swap or the coefficient changes
-# form, plus the floats on either side of |q| = 1.
+# form, plus the floats on either side of |q| = 1, and huge |q| where the
+# |q| > 1 forms overflow and fall back to their mirrored forms.
 EDGE_Q = [
     sign * q
     for sign in (1.0, -1.0)
-    for q in (0.0, 1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 3.0)
+    for q in (
+        0.0,
+        1.0,
+        math.nextafter(1.0, 0.0),
+        math.nextafter(1.0, 2.0),
+        3.0,
+        1e78,
+        1e200,
+    )
 ]
 
 
@@ -140,3 +154,35 @@ def test_bound_functions_equal_report_fields_bitwise(instance):
         assert qc.naive_q_bound(state, a, b, q) == report.naive_q
         assert qc.robertson_bound(state, a, b) == report.robertson
         assert qc.tightness_ratio(state, a, b, q) == report.ratio
+
+
+def test_report_at_q_one_on_maximally_mixed_qubit(pauli_x, pauli_y):
+    # The coefficient is flagged infinite and the trace term vanishes.
+    state = qc.maximally_mixed(2)
+    assert qc.bound_report(state, pauli_x, pauli_y, 1.0).refined == 0.0
+    assert qc.refined_q_bound(state, pauli_x, pauli_y, 1.0) == 0.0
+
+
+def test_report_at_q_one_on_maximally_mixed_qutrit_matches_bound_functions():
+    # Scaled observables leave a trace term above DEGENERATE_TERM on many
+    # seeds (seed 0 among them); bound_report must then raise exactly what
+    # refined_q_bound raises, and agree with it everywhere else.
+    state = qc.maximally_mixed(3)
+    outcomes = {}
+    for seed in range(40):
+        a = qc.make_hermitian(1e4 * qc.random_hermitian(3, qc.SeededRng(seed, 0)).mat)
+        b = qc.make_hermitian(1e4 * qc.random_hermitian(3, qc.SeededRng(seed, 1)).mat)
+        try:
+            refined = qc.refined_q_bound(state, a, b, 1.0)
+        except DegenerateCoefficient as exc:
+            with pytest.raises(DegenerateCoefficient) as excinfo:
+                qc.bound_report(state, a, b, 1.0)
+            assert str(excinfo.value) == str(exc)
+            outcomes[seed] = "raised"
+        else:
+            report = qc.bound_report(state, a, b, 1.0)
+            assert report.refined == refined == 0.0
+            assert report.naive_q == qc.naive_q_bound(state, a, b, 1.0)
+            outcomes[seed] = "zero"
+    assert outcomes[0] == "raised"
+    assert "zero" in outcomes.values()
