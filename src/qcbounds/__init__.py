@@ -12,7 +12,6 @@ from . import errors
 from .algebra import (
     QRegime,
     classify_q,
-    q_commutator,
     q_trace_term,
 )
 from .bounds import (
@@ -22,9 +21,6 @@ from .bounds import (
     refined_coefficient,
     refined_q_bound,
     robertson_bound,
-    schwarz_split,
-    weight_ratio_excess,
-    weight_ratio_sq,
 )
 from .generators import SeededRng, maximally_mixed, random_density, random_hermitian
 from .hermitian import (
@@ -32,8 +28,6 @@ from .hermitian import (
     HermitianMatrix,
     center,
     density_from_decomposition,
-    eigenbasis_elements,
-    expectation,
     make_density,
     make_hermitian,
     variance,
@@ -44,7 +38,7 @@ from .instances import (
     payload_to_instance,
     save_instance,
 )
-from .search import SearchResult, maximize_tightness, sweep_q, tightness_ratio
+from .search import SearchResult, maximize_tightness, sweep_q
 
 __version__ = "0.1.0"
 
@@ -59,9 +53,7 @@ __all__ = [
     "center",
     "classify_q",
     "density_from_decomposition",
-    "eigenbasis_elements",
     "errors",
-    "expectation",
     "instance_payload",
     "load_instance",
     "make_density",
@@ -70,7 +62,6 @@ __all__ = [
     "maximize_tightness",
     "naive_q_bound",
     "payload_to_instance",
-    "q_commutator",
     "q_trace_term",
     "random_density",
     "random_hermitian",
@@ -78,10 +69,6 @@ __all__ = [
     "refined_q_bound",
     "robertson_bound",
     "save_instance",
-    "schwarz_split",
     "sweep_q",
-    "tightness_ratio",
     "variance",
-    "weight_ratio_excess",
-    "weight_ratio_sq",
 ]

@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFinite
-from .hermitian import DensityMatrix, HermitianMatrix
+from .errors import NonFinite
+from .hermitian import DensityMatrix, HermitianMatrix, _check_same_dim
 
 
 class QRegime(enum.Enum):
@@ -47,17 +47,6 @@ def classify_q(q: float) -> QRegime:
     return QRegime.LT_MINUS_ONE
 
 
-def _check_dims(a: HermitianMatrix, b: HermitianMatrix) -> None:
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"operand dims differ: {a.dim} vs {b.dim}")
-
-
-def q_commutator(a: HermitianMatrix, b: HermitianMatrix, q: float) -> np.ndarray:
-    """Return AB - qBA.  Generally non-Hermitian; at q=1 it is skew-Hermitian."""
-    _check_dims(a, b)
-    return a.mat @ b.mat - q * (b.mat @ a.mat)
-
-
 def q_trace_term(
     state: DensityMatrix, a0: HermitianMatrix, b0: HermitianMatrix, q: float
 ) -> complex:
@@ -67,9 +56,8 @@ def q_trace_term(
     is what the bound coefficients multiply.  An eigenbasis-sum evaluation
     of the same number exists in the test suite as an independent oracle.
     """
-    _check_dims(a0, b0)
-    if a0.dim != state.dim:
-        raise DimensionMismatch(f"operand dim {a0.dim} vs state dim {state.dim}")
+    _check_same_dim(state, a0)
+    _check_same_dim(state, b0)
     forward = np.einsum("ij,jk,ki->", state.mat, a0.mat, b0.mat)
     backward = np.einsum("ij,jk,ki->", state.mat, b0.mat, a0.mat)
     return complex(forward - q * backward)

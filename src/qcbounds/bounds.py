@@ -14,6 +14,8 @@ operands swapped for |q| > 1; negative q needs only |q|, since
 Tr[rho A0 B0], Tr[rho B0 A0], the raw commutator trace, extreme
 eigenvalues), so each further q costs O(1).  ``bound_report`` evaluates
 every bound on one instance; it is the record the CLI streams out.
+Values past the float range raise ``NonFinite``, never a bare
+``OverflowError``.  Tests check the proof steps behind the bound.
 
 The pass is one kernel, ``_trace_kernel``, that takes one instance or a
 stack of them.  ``_traces`` runs it on one instance; ``verify`` runs it
@@ -29,15 +31,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import QRegime, classify_q, q_trace_term
-from .errors import DegenerateCoefficient, DomainError, InvalidSpectrum, NonFinite
+# Nothing here calls q_trace_term: the name stays bound for the traced
+# benchmark runs, which hook ``bounds.q_trace_term`` (perfbench/spans.py).
+from .algebra import QRegime, classify_q, q_trace_term  # noqa: F401
+from .errors import DegenerateCoefficient, InvalidSpectrum, NonFinite
 from .hermitian import (
     DensityMatrix,
     HermitianMatrix,
     _centred,
     _check_same_dim,
     _trace3,
-    eigenbasis_elements,
 )
 
 # Coefficient denominators below this magnitude are flagged infinite.
@@ -76,7 +79,8 @@ def refined_coefficient(q: float, lambda_min: float, lambda_max: float) -> float
         Deformation parameter; only |q| enters.
     lambda_min, lambda_max : float
         Extreme eigenvalues of the state, ``0 <= lambda_min <= lambda_max``
-        with ``lambda_max > 0``.
+        with ``lambda_max`` positive and finite; anything else, NaN
+        included, raises ``InvalidSpectrum``.
 
     Returns
     -------
@@ -91,9 +95,9 @@ def refined_coefficient(q: float, lambda_min: float, lambda_max: float) -> float
     """
     classify_q(q)  # rejects non-finite q
     aq = abs(float(q))
-    if not (0.0 <= lambda_min <= lambda_max) or lambda_max <= 0.0:
+    if not (0.0 <= lambda_min <= lambda_max < math.inf) or lambda_max <= 0.0:
         raise InvalidSpectrum(
-            f"need 0 <= lambda_min <= lambda_max with lambda_max > 0, "
+            f"need 0 <= lambda_min <= lambda_max < inf with lambda_max > 0, "
             f"got ({lambda_min!r}, {lambda_max!r})"
         )
     try:
@@ -140,64 +144,6 @@ def refined_q_bound(
     equal ``refined_coefficient(1/|q|) |Tr[rho [A0,B0]_(1/|q|)]|^2``.
     """
     return _traces(state, a, b).refined(float(q))
-
-
-def weight_ratio_sq(t, q):
-    """Return ((t - |q|) / (t + |q|))^2 elementwise for t >= 1.
-
-    Non-decreasing in t on the domain, which is what makes the extreme
-    eigenvalue ratio the worst case in the refined coefficient.
-    """
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr < 1.0):
-        raise DomainError("t must be >= 1")
-    aq = abs(float(q))
-    out = ((arr - aq) / (arr + aq)) ** 2
-    return float(out) if np.isscalar(t) or arr.ndim == 0 else out
-
-
-def weight_ratio_excess(t, q):
-    """Return (1+|q|t)^2 (t-|q|)^2 - (1-|q|t)^2 (t+|q|)^2 elementwise.
-
-    Nonnegative for t >= 1 when |q| <= 1, and exactly zero at t = 1,
-    at q = 0, and at |q| = 1.
-    """
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr < 1.0):
-        raise DomainError("t must be >= 1")
-    aq = abs(float(q))
-    out = (1.0 + aq * arr) ** 2 * (arr - aq) ** 2 - (1.0 - aq * arr) ** 2 * (
-        arr + aq
-    ) ** 2
-    return float(out) if np.isscalar(t) or arr.ndim == 0 else out
-
-
-def schwarz_split(
-    state: DensityMatrix, a0: HermitianMatrix, b0: HermitianMatrix, q: float
-) -> tuple[float, float]:
-    """Return the two sides of the Cauchy-Schwarz step behind the bound.
-
-    For centred observables and |q| <= 1,
-
-        lhs = |Tr[rho [A0,B0]_|q|]|^2
-        rhs = (sum_ij |l_i - |q| l_j| |a_ij|^2) (sum_ij |l_i - |q| l_j| |b_ji|^2)
-
-    with the matrix elements taken in the state's eigenbasis; lhs <= rhs
-    up to float noise.
-    """
-    classify_q(q)  # rejects non-finite q
-    aq = abs(float(q))
-    if aq > 1.0:
-        raise DomainError(f"|q| must be <= 1, got {float(q)!r}")
-    term = q_trace_term(state, a0, b0, aq)
-    lhs = abs(term) ** 2
-    lam = state.eigenvalues
-    weights = np.abs(lam[:, None] - aq * lam[None, :])
-    a_elems = eigenbasis_elements(state, a0)
-    b_elems = eigenbasis_elements(state, b0)
-    sum_a = float(np.sum(weights * np.abs(a_elems) ** 2))
-    sum_b = float(np.sum(weights * np.abs(b_elems.T) ** 2))
-    return lhs, sum_a * sum_b
 
 
 class BoundReport(NamedTuple):
@@ -249,7 +195,7 @@ class _Traces(NamedTuple):
     lambda_max: float
 
     def robertson(self) -> float:
-        return 0.25 * _squared(abs(self.commutator))
+        return 0.25 * _squared(_modulus(self.commutator))
 
     def naive(self, aq: float) -> float:
         if aq > 1.0:
@@ -280,7 +226,7 @@ class _Traces(NamedTuple):
         # C(aq) |first - aq second|^2.  The coefficient comes first, so a
         # |q| that overflows it never forms the bracket.
         coefficient = _coefficient(aq, self.lambda_min, self.lambda_max)
-        magnitude = abs(complex(first - aq * second))
+        magnitude = _modulus(complex(first - aq * second))
         if math.isinf(coefficient):
             if magnitude < DEGENERATE_TERM:
                 return 0.0
@@ -297,7 +243,7 @@ class _Traces(NamedTuple):
         if aq <= 1.0:
             coefficient = _coefficient(aq, self.lambda_min, self.lambda_max)
             if not math.isinf(coefficient):
-                sq = _squared(abs(complex(self.forward - aq * self.backward)))
+                sq = _squared(_modulus(complex(self.forward - aq * self.backward)))
                 return coefficient * sq, self.robertson(), sq / (1.0 + aq) ** 2
         return self._refined(q, aq), self.robertson(), self.naive(aq)
 
@@ -305,7 +251,17 @@ class _Traces(NamedTuple):
 def _naive(aq: float, first, second) -> float:
     # |first - aq second|^2 / (1 + aq)^2.
     denominator = (1.0 + aq) ** 2
-    return _squared(abs(complex(first - aq * second))) / denominator
+    return _squared(_modulus(complex(first - aq * second))) / denominator
+
+
+def _modulus(z: complex) -> float:
+    # A trace term with finite parts can have a modulus past the float
+    # range, and Python's abs then raises OverflowError; report it as a
+    # qcbounds error instead, as _squared does for the square.
+    try:
+        return abs(z)
+    except OverflowError:
+        raise NonFinite(f"modulus of trace term {z!r} overflows") from None
 
 
 def _squared(magnitude: float) -> float:

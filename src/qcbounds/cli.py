@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import BoundReport, _report, _trace_rows, bound_report
-from .errors import QcboundsError
+from .errors import MasterInequalityViolation, QcboundsError
 from .generators import (
     SeededRng,
     _complex_matrix,
@@ -132,12 +132,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except QcboundsError as exc:
+    except (QcboundsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # search aborts on the first violation it finds; that is exit 1.
+        return 1 if isinstance(exc, MasterInequalityViolation) else 2
 
 
 def cmd_verify(plan: TrialPlan, out=None) -> int:

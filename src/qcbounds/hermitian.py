@@ -34,11 +34,11 @@ array itself, so its caller hands it over.
 
 Their arithmetic lives in two array functions that act on the trailing
 two axes, so one call serves one matrix or a stack of them:
-:func:`_symmetrised` and :func:`_density_arrays`.  ``cli.cmd_verify``
-calls them on stacks of drawn trials, and gets row for row the bytes
-that ``random_hermitian`` and ``random_density`` give one at a time.
-:func:`_centred` and :func:`_trace3` likewise take one instance or a
-stack; ``bounds`` evaluates through them.
+:func:`_symmetrised` and :func:`_density_arrays`.  ``verify`` calls
+them on stacks of drawn trials (``cli._build_batch``), and gets row for
+row the bytes ``random_hermitian`` and ``random_density`` give one at a
+time.  :func:`_centred` and :func:`_trace3`, which :func:`center`,
+:func:`variance` and ``bounds`` evaluate through, take either as well.
 """
 
 from __future__ import annotations
@@ -278,12 +278,6 @@ def density_from_decomposition(eigenvalues, eigenvectors) -> DensityMatrix:
     return DensityMatrix(mat, vals, frame)
 
 
-def expectation(state: DensityMatrix, obs: HermitianMatrix) -> float:
-    """Return Tr[rho A] as a real number."""
-    _check_same_dim(state, obs)
-    return float(np.einsum("ij,ji->", state.mat, obs.mat).real)
-
-
 def center(state: DensityMatrix, obs: HermitianMatrix) -> HermitianMatrix:
     """Shift ``obs`` by its expectation so the centred mean vanishes."""
     _check_same_dim(state, obs)
@@ -320,13 +314,6 @@ def _centred(rho: np.ndarray, obs: np.ndarray) -> np.ndarray:
     diagonal = shifted.reshape(*obs.shape[:-2], n * n)[..., :: n + 1]
     diagonal -= mean[..., None]
     return shifted
-
-
-def eigenbasis_elements(state: DensityMatrix, obs: HermitianMatrix) -> np.ndarray:
-    """Return the matrix of ``obs`` expressed in the state's eigenbasis."""
-    _check_same_dim(state, obs)
-    frame = state.eigenvectors
-    return frame.conj().T @ obs.mat @ frame
 
 
 def _check_same_dim(state: DensityMatrix, obs: HermitianMatrix) -> None:

@@ -55,13 +55,6 @@ class SearchResult:
     trajectory: tuple[tuple[int, float], ...]
 
 
-def tightness_ratio(
-    state: DensityMatrix, a: HermitianMatrix, b: HermitianMatrix, q: float
-) -> float | None:
-    """Return refined bound / variance product, or None below the floor."""
-    return bound_report(state, a, b, q).ratio
-
-
 def sweep_q(
     state: DensityMatrix,
     a: HermitianMatrix,

@@ -25,12 +25,18 @@ def mixed_qubit():
     return qc.make_density(np.diag([0.25, 0.75]))
 
 
+def eigenbasis_matrix(state, obs):
+    """The matrix V† X V of ``obs`` in the state's eigenbasis (columns of V)."""
+    frame = state.eigenvectors
+    return frame.conj().T @ obs.mat @ frame
+
+
 def eigenbasis_sum_term(state, a0, b0, q):
     """Independent route to Tr[rho (A0 B0 - q B0 A0)]: explicit double sum
     over the state's eigenbasis."""
     lam = state.eigenvalues
-    am = qc.eigenbasis_elements(state, a0)
-    bm = qc.eigenbasis_elements(state, b0)
+    am = eigenbasis_matrix(state, a0)
+    bm = eigenbasis_matrix(state, b0)
     total = 0.0j
     for i in range(state.dim):
         for j in range(state.dim):

@@ -9,12 +9,12 @@ import qcbounds as qc
 from qcbounds import bounds
 from qcbounds.errors import (
     DegenerateCoefficient,
-    DomainError,
     InvalidSpectrum,
     NonFinite,
 )
 
 from conftest import random_instance, witness_ratio
+from test_acceptance import schwarz_sides, weight_ratio_excess, weight_ratio_sq
 
 
 def test_robertson_pauli_value(mixed_qubit, pauli_x, pauli_y):
@@ -69,6 +69,10 @@ def test_coefficient_rejects_bad_spectrum():
         qc.refined_coefficient(0.5, -0.1, 0.5)
     with pytest.raises(InvalidSpectrum):
         qc.refined_coefficient(0.5, 0.0, 0.0)
+    # An infinite lambda_max is rejected like NaN, not turned into NaN.
+    for q, lambda_min in ((0.5, 0.1), (0.5, math.inf), (2.0, 0.1)):
+        with pytest.raises(InvalidSpectrum):
+            qc.refined_coefficient(q, lambda_min, math.inf)
 
 
 def test_refined_bound_pauli_values(mixed_qubit, pauli_x, pauli_y):
@@ -141,43 +145,31 @@ def test_dispatch_equals_weighted_bracket_form(seed, n, q):
 
 
 def test_weight_ratio_sq_values():
-    assert qc.weight_ratio_sq(1.0, 1.0) == 0.0
-    assert qc.weight_ratio_sq(7.3, 0.0) == 1.0
-    assert qc.weight_ratio_sq(3.0, 1.0) == pytest.approx(0.25)
-    grid = qc.weight_ratio_sq(np.array([1.0, 2.0, 3.0]), 1.0)
+    assert weight_ratio_sq(1.0, 1.0) == 0.0
+    assert weight_ratio_sq(7.3, 0.0) == 1.0
+    assert weight_ratio_sq(3.0, 1.0) == pytest.approx(0.25)
+    grid = weight_ratio_sq(np.array([1.0, 2.0, 3.0]), 1.0)
     assert grid.shape == (3,)
-
-
-def test_weight_ratio_sq_domain():
-    with pytest.raises(DomainError):
-        qc.weight_ratio_sq(0.5, 0.3)
 
 
 def test_weight_ratio_excess_zero_lines():
     ts = np.linspace(1.0, 50.0, 777)
-    assert qc.weight_ratio_excess(1.0, 0.37) == 0.0
-    assert np.all(qc.weight_ratio_excess(ts, 0.0) == 0.0)
-    assert np.all(qc.weight_ratio_excess(ts, 1.0) == 0.0)
-    with pytest.raises(DomainError):
-        qc.weight_ratio_excess(0.99, 0.5)
+    assert weight_ratio_excess(1.0, 0.37) == 0.0
+    assert np.all(weight_ratio_excess(ts, 0.0) == 0.0)
+    assert np.all(weight_ratio_excess(ts, 1.0) == 0.0)
 
 
 def test_schwarz_split_pauli(mixed_qubit, pauli_x, pauli_y):
     a0 = qc.center(mixed_qubit, pauli_x)
     b0 = qc.center(mixed_qubit, pauli_y)
-    lhs, rhs = qc.schwarz_split(mixed_qubit, a0, b0, 0.5)
+    lhs, rhs = schwarz_sides(mixed_qubit, a0, b0, 0.5)
     assert lhs == pytest.approx(0.5625)
     assert rhs == pytest.approx(0.5625)
 
 
 def test_schwarz_split_zero_operand(mixed_qubit):
     zero = qc.make_hermitian(np.zeros((2, 2)))
-    assert qc.schwarz_split(mixed_qubit, zero, zero, 0.3) == (0.0, 0.0)
-
-
-def test_schwarz_split_rejects_large_q(mixed_qubit, pauli_x, pauli_y):
-    with pytest.raises(DomainError):
-        qc.schwarz_split(mixed_qubit, pauli_x, pauli_y, 1.5)
+    assert schwarz_sides(mixed_qubit, zero, zero, 0.3) == (0.0, 0.0)
 
 
 def test_report_pauli_fields(mixed_qubit, pauli_x, pauli_y):
@@ -262,18 +254,23 @@ def test_qubit_witness_ratio_closed_form(eps, q, pauli_x, pauli_y):
 
 
 def test_overflowing_trace_term_raises_non_finite(mixed_qubit):
-    # Finite observables whose trace terms square past the float range:
-    # every bound reports NonFinite, not Python's bare OverflowError.
-    a = qc.make_hermitian(1e78 * np.array([[0.0, 1.0], [1.0, 0.0]]))
-    b = qc.make_hermitian(1e78 * np.array([[0.0, -1.0j], [1.0j, 0.0]]))
-    for bound in (
-        lambda: qc.bound_report(mixed_qubit, a, b, 0.5),
-        lambda: qc.refined_q_bound(mixed_qubit, a, b, 0.5),
-        lambda: qc.naive_q_bound(mixed_qubit, a, b, 0.5),
-        lambda: qc.robertson_bound(mixed_qubit, a, b),
-    ):
-        with pytest.raises(NonFinite, match="overflows"):
-            bound()
+    # Finite observables whose trace terms square past the float range, or
+    # whose trace term has finite parts but a modulus past it: every bound
+    # reports NonFinite, not Python's bare OverflowError.
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    root = math.sqrt(1.7e308)
+    for a_mat, b_mat, q in ((1e78 * sx, 1e78 * sy, 0.5),
+                            (root * sx, root * (sx + sy), 0.0)):
+        a, b = qc.make_hermitian(a_mat), qc.make_hermitian(b_mat)
+        for bound in (
+            lambda: qc.bound_report(mixed_qubit, a, b, q),
+            lambda: qc.refined_q_bound(mixed_qubit, a, b, q),
+            lambda: qc.naive_q_bound(mixed_qubit, a, b, q),
+            lambda: qc.robertson_bound(mixed_qubit, a, b),
+        ):
+            with pytest.raises(NonFinite, match="overflows"):
+                bound()
 
 
 @pytest.mark.parametrize("eps", [1e-8, 0.01, 0.25, 0.4])

@@ -232,6 +232,24 @@ def test_search_rejects_dimension_one(capsys):
     capsys.readouterr()
 
 
+def test_search_exits_1_on_a_violation(tmp_path, monkeypatch, capsys):
+    # A refined bound inflated past the product must read as a verified
+    # violation (exit 1), not as invalid input (exit 2).
+    honest = qc.search.bound_report
+
+    def inflated(state, a, b, q):
+        report = honest(state, a, b, q)
+        refined = 2.0 * report.product + 1.0
+        return report._replace(refined=refined, slack=report.product - refined)
+
+    monkeypatch.setattr(qc.search, "bound_report", inflated)
+    out = tmp_path / "found.json"
+    code = run_cli("search", "--n", "2", "--budget", "10", "--out", out)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: master inequality violated")
+    assert not out.exists()
+
+
 def test_search_output_round_trips_into_sweep(tmp_path, capsys):
     found = tmp_path / "found.json"
     code = run_cli("search", "--n", "2", "--q", "0.5", "--budget", "600",
@@ -393,6 +411,25 @@ def test_sweep_exits_2_when_the_variances_overflow(tmp_path, capsys, mixed_qubit
         code = run_cli("sweep", instance, "--format", "json", "--out", out)
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_sweep_exits_2_when_a_modulus_overflows_at_huge_q(
+    tmp_path, capsys, mixed_qubit
+):
+    # At q = 1e200 the bracket's parts stay finite but its modulus does
+    # not: an error line and exit 2, with no output written.
+    a = qc.make_hermitian(1e200 * np.array([[0.0, 1.0], [1.0, 0.0]]))
+    b = qc.make_hermitian(1e200 * np.array([[0.0, -1.0j], [1.0j, 0.0]]))
+    instance = tmp_path / "huge.json"
+    qc.save_instance(instance, mixed_qubit, a, b)
+    out = tmp_path / "sweep.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli("sweep", instance, "--q-lo", "1e200", "--q-hi", "1e200",
+                       "--steps", "1", "--out", out)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
     assert not out.exists()
 
 

@@ -10,7 +10,7 @@ from qcbounds.errors import (
     TraceNotOne,
 )
 
-from conftest import random_instance
+from conftest import eigenbasis_matrix, random_instance
 
 
 def test_make_hermitian_symmetrises_float_noise():
@@ -80,11 +80,16 @@ def test_density_from_decomposition_keeps_exact_zeros():
     assert d.lambda_min == 0.0
 
 
+def expectation(state, obs):
+    """Tr[rho A] as a real number."""
+    return float(np.einsum("ij,ji->", state.mat, obs.mat).real)
+
+
 def test_expectation_and_center(pauli_z, mixed_qubit):
     # Tr[diag(0.25, 0.75) sz] = -0.5.
-    assert qc.expectation(mixed_qubit, pauli_z) == pytest.approx(-0.5)
+    assert expectation(mixed_qubit, pauli_z) == pytest.approx(-0.5)
     centered = qc.center(mixed_qubit, pauli_z)
-    assert qc.expectation(mixed_qubit, centered) == pytest.approx(0.0, abs=1e-15)
+    assert expectation(mixed_qubit, centered) == pytest.approx(0.0, abs=1e-15)
     assert np.allclose(centered.mat, np.diag([1.5, -0.5]))
 
 
@@ -112,7 +117,7 @@ def test_variance_never_negative():
 
 def test_eigenbasis_elements_diagonalises_the_state():
     state, _, _ = random_instance(7, 4)
-    in_basis = qc.eigenbasis_elements(state, qc.make_hermitian(state.mat))
+    in_basis = eigenbasis_matrix(state, qc.make_hermitian(state.mat))
     assert np.allclose(in_basis, np.diag(state.eigenvalues), atol=1e-12)
 
 
@@ -120,3 +125,5 @@ def test_dimension_mismatch_raised(pauli_x):
     state = qc.make_density(np.eye(3) / 3)
     with pytest.raises(DimensionMismatch):
         qc.variance(state, pauli_x)
+    with pytest.raises(DimensionMismatch):
+        qc.q_trace_term(state, pauli_x, pauli_x, 0.5)

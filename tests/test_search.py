@@ -17,17 +17,18 @@ from conftest import random_instance
 
 
 def test_tightness_ratio_equality_instance(mixed_qubit, pauli_x, pauli_y):
-    assert qc.tightness_ratio(mixed_qubit, pauli_x, pauli_y, 1.0) == pytest.approx(1.0)
+    report = qc.bound_report(mixed_qubit, pauli_x, pauli_y, 1.0)
+    assert report.ratio == pytest.approx(1.0)
 
 
 def test_tightness_ratio_commuting(mixed_qubit, pauli_x):
-    ratio = qc.tightness_ratio(mixed_qubit, pauli_x, pauli_x, 1.0)
+    ratio = qc.bound_report(mixed_qubit, pauli_x, pauli_x, 1.0).ratio
     assert ratio == pytest.approx(0.0, abs=1e-15)
 
 
 def test_tightness_ratio_absent_for_zero_variance(pauli_z):
     pure = qc.make_density(np.diag([0.0, 1.0]))
-    assert qc.tightness_ratio(pure, pauli_z, pauli_z, 1.0) is None
+    assert qc.bound_report(pure, pauli_z, pauli_z, 1.0).ratio is None
 
 
 def test_sweep_preserves_order(mixed_qubit, pauli_x, pauli_y):
@@ -43,7 +44,7 @@ def commutator_refinement(state, a, b):
     Centring cancels inside a commutator trace, so this must agree with
     the centred bracket the bounds use, up to rounding.
     """
-    term = np.einsum("ij,ji->", state.mat, qc.q_commutator(a, b, 1.0))
+    term = np.einsum("ij,ji->", state.mat, a.mat @ b.mat - b.mat @ a.mat)
     coefficient = qc.refined_coefficient(1.0, state.lambda_min, state.lambda_max)
     return coefficient * abs(term) ** 2
 
@@ -72,7 +73,7 @@ def test_search_single_evaluation():
     result = qc.maximize_tightness(2, 1.0, 1, qc.SeededRng(3))
     assert result.evaluations == 1
     state, a, b, q = result.best_instance
-    recomputed = qc.tightness_ratio(state, a, b, q)
+    recomputed = qc.bound_report(state, a, b, q).ratio
     expected = 0.0 if recomputed is None else recomputed
     assert result.best_ratio == pytest.approx(expected, abs=1e-12)
     assert result.trajectory == ((1, result.best_ratio),)
@@ -153,7 +154,6 @@ def test_bound_functions_equal_report_fields_bitwise(instance):
         assert qc.refined_q_bound(state, a, b, q) == report.refined
         assert qc.naive_q_bound(state, a, b, q) == report.naive_q
         assert qc.robertson_bound(state, a, b) == report.robertson
-        assert qc.tightness_ratio(state, a, b, q) == report.ratio
 
 
 def test_report_at_q_one_on_maximally_mixed_qubit(pauli_x, pauli_y):
