@@ -49,6 +49,10 @@ DEGENERATE_DENOMINATOR = 1e-14
 DEGENERATE_TERM = 1e-12
 # Variance products below this floor report no tightness ratio.
 RATIO_FLOOR = 1e-14
+# Stacks run through the trace kernel hold at most this many matrix
+# entries, 64 KiB of complex128.  ``verify`` and ``search`` cut their
+# batches to it: 256 instances at n = 4, four at n = 32.
+_BATCH_ENTRIES = 4096
 
 
 def robertson_bound(

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import BoundReport, _report, _trace_rows, bound_report
+from .bounds import _BATCH_ENTRIES, BoundReport, _report, _trace_rows, bound_report
 from .errors import MasterInequalityViolation, QcboundsError
 from .generators import (
     SeededRng,
@@ -65,10 +65,6 @@ _UINT64_BOUND = 2**64
 # The streams of this many consecutive trials are derived in one pass.
 _TRIAL_STREAMS = 5
 _CHUNK_TRIALS = 512
-# Trials of one dim are built and evaluated together in batches of at most
-# this many matrix entries per stack, 64 KiB of complex128: a whole dim
-# group for n <= 8, four trials at n = 32.
-_BATCH_ENTRIES = 4096
 
 
 @dataclass(frozen=True)

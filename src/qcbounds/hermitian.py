@@ -15,18 +15,15 @@ skip the checks and keep only the arithmetic:
 * :func:`_unchecked_hermitian` symmetrises a complex square matrix as
   :func:`make_hermitian` does; the caller guarantees it is finite and
   Hermitian within tolerance.  Callers: :func:`make_hermitian` (after
-  checking the raw input), ``generators.random_hermitian`` (a Gaussian
-  matrix ``M``, giving ``(M + M†) / 2``) and ``search._decode`` (each
-  entry below the diagonal written as the conjugate of the one above it).
+  checking the raw input) and ``generators.random_hermitian`` (a
+  Gaussian matrix ``M``, giving ``(M + M†) / 2``).
 * :func:`_unchecked_density` builds a state from a spectrum and a frame
   as :func:`density_from_decomposition` does; the caller guarantees a
   finite, nonnegative, ascending spectrum summing to one within rounding
   and a frame unitary within rounding.  Callers: :func:`make_density`
   (after checking the raw input; the clamped, normalised spectrum and the
-  frame ``eigh`` returns), ``generators.random_density`` (Dirichlet
-  spectrum, sorted; frame from QR) and ``search._decode`` (softmax
-  spectrum, sorted; frame the exponential of ``i`` times a Hermitian
-  matrix).
+  frame ``eigh`` returns) and ``generators.random_density`` (Dirichlet
+  spectrum, sorted; frame from QR).
 
 Both produce bitwise the values the validating path would, and make the
 stored arrays read-only; ``_unchecked_density`` keeps the given frame
@@ -37,8 +34,15 @@ two axes, so one call serves one matrix or a stack of them:
 :func:`_symmetrised` and :func:`_density_arrays`.  ``verify`` calls
 them on stacks of drawn trials (``cli._build_batch``), and gets row for
 row the bytes ``random_hermitian`` and ``random_density`` give one at a
-time.  :func:`_centred` and :func:`_trace3`, which :func:`center`,
-:func:`variance` and ``bounds`` evaluate through, take either as well.
+time.  ``search._decode_batch`` calls them on stacks of decoded
+parameter vectors: each entry below the diagonal is the conjugate of the
+one above it, and the spectrum is a sorted softmax with the exponential
+of ``i`` times a Hermitian matrix as frame.  The search keeps single rows
+through :func:`_hermitian_value` and :func:`_density_value`, which wrap
+arrays as they are, read-only, as the two constructors above do with
+the arrays they compute.  :func:`_centred` and :func:`_trace3`, which
+:func:`center`, :func:`variance` and ``bounds`` evaluate through, take
+either as well.
 """
 
 from __future__ import annotations
@@ -242,11 +246,7 @@ def _density_arrays(
 
 def _unchecked_hermitian(raw: np.ndarray) -> HermitianMatrix:
     # The arithmetic of make_hermitian, without its checks.
-    mat = _symmetrised(raw)
-    mat.setflags(write=False)
-    out = object.__new__(HermitianMatrix)
-    object.__setattr__(out, "mat", mat)
-    return out
+    return _hermitian_value(_symmetrised(raw))
 
 
 def _unchecked_density(vals: np.ndarray, frame: np.ndarray) -> DensityMatrix:
@@ -254,6 +254,22 @@ def _unchecked_density(vals: np.ndarray, frame: np.ndarray) -> DensityMatrix:
     # DensityMatrix.__post_init__, without the checks: the caller
     # guarantees the invariants listed in the module docstring.
     mat, vals = _density_arrays(vals, frame)
+    return _density_value(mat, vals, frame)
+
+
+def _hermitian_value(mat: np.ndarray) -> HermitianMatrix:
+    # Wraps an already symmetrised matrix as is, made read-only.
+    mat.setflags(write=False)
+    out = object.__new__(HermitianMatrix)
+    object.__setattr__(out, "mat", mat)
+    return out
+
+
+def _density_value(
+    mat: np.ndarray, vals: np.ndarray, frame: np.ndarray
+) -> DensityMatrix:
+    # Wraps the arrays _density_arrays gives, and their frame, as they
+    # are, made read-only.
     for arr in (mat, vals, frame):
         arr.setflags(write=False)
     out = object.__new__(DensityMatrix)

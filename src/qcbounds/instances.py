@@ -106,7 +106,14 @@ def _matrix_from_grid(grid, n: int, name: str) -> np.ndarray:
             re, im = cell["re"], cell["im"]
             if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in (re, im)):
                 raise InstanceFormatError(f"{name}[{i}][{j}] entries must be numbers")
-            out[i, j] = complex(re, im)
+            try:
+                out[i, j] = complex(re, im)
+            except OverflowError:
+                # JSON integers have no size limit; a float cannot hold
+                # one past about 1.8e308.
+                raise InstanceFormatError(
+                    f"{name}[{i}][{j}] is past the float range"
+                ) from None
     return out
 
 

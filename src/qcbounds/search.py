@@ -5,28 +5,41 @@ an unconstrained parametrization of (state, A, B) at fixed q, maximising
 refined bound / variance product.  Every evaluation doubles as a stress
 test of the master inequality; a violation aborts the search with the
 offending instance attached to the raised error.
+
+The restarts run in lockstep: each step of every restart in flight asks
+for its points, and all of them are decoded and evaluated as one stack
+(``_decode_batch``, then ``bounds._trace_rows`` and ``_report``).  The
+result is the one the restarts would give run one after another.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import BoundReport, _report, _traces, bound_report
+from .bounds import _BATCH_ENTRIES, BoundReport, _report, _trace_rows, _traces
+
+# Nothing here calls bound_report: the name stays bound for the traced
+# benchmark runs, which hook ``search.bound_report`` (perfbench/spans.py).
+from .bounds import bound_report  # noqa: F401
 from .errors import (
     BudgetZero,
     DomainError,
     InvalidDimension,
     MasterInequalityViolation,
+    QcboundsError,
 )
 from .generators import SeededRng
 from .hermitian import (
     DensityMatrix,
     HermitianMatrix,
-    _unchecked_density,
-    _unchecked_hermitian,
+    _density_arrays,
+    _density_value,
+    _hermitian_value,
+    _symmetrised,
 )
 from .instances import instance_payload
 
@@ -38,6 +51,10 @@ SIMPLEX_DIAMETER_TOL = 1e-8
 SIMPLEX_STEP = 0.5
 # Budget is split evenly over max(4, budget // RESTART_SHARE) restarts.
 RESTART_SHARE = 2000
+# Restarts run in lockstep while their simplices, (d + 1) * d floats each
+# for d = n + 3 n^2 coordinates, fit in this many floats together (2 MiB):
+# 95 restarts at n = 4, 6 at n = 8, one at a time from n = 16 on.
+_LOCKSTEP_FLOATS = 2**18
 
 
 @dataclass(frozen=True)
@@ -84,14 +101,25 @@ def maximize_tightness(
         Total number of instance evaluations allowed, split evenly over
         ``max(4, budget // 2000)`` random restarts.
     rng : SeededRng
-        Restart ``r`` draws its start point from ``rng.split(r)``, so the
-        result is deterministic for a fixed seed regardless of scheduling.
+        Restart ``r`` draws its start point from ``rng.split(r)``.
 
     Returns
     -------
     SearchResult
         Best ratio found, the instance achieving it, evaluations spent,
         and the improvement trajectory.
+
+    Notes
+    -----
+    Each restart's simplex path depends only on its own scores, so the
+    restarts run in lockstep, as many at a time as ``_LOCKSTEP_FLOATS``
+    admits, and each round evaluates the points all of them ask for as
+    one stack.  The evaluation count, the trajectory and the best
+    instance are then replayed in restart order, so the result is the one
+    of running the restarts one after another.  The first error in that
+    order is raised, as a violation or a failed decode would have ended
+    the sequential run there: an error ends its restart and every later
+    one, while the earlier restarts run on.
     """
     if n < 2:
         raise InvalidDimension(f"n must be >= 2, got {n}")
@@ -99,73 +127,224 @@ def maximize_tightness(
         raise BudgetZero(f"budget must be >= 1, got {budget}")
     q = float(q)
 
-    state_best: dict = {"score": -np.inf, "instance": None}
-    evals = [0]
-    trajectory: list[tuple[int, float]] = []
-
-    def evaluate(theta: np.ndarray) -> float:
-        state, a, b = _decode(theta, n)
-        report = bound_report(state, a, b, q)
-        if report.slack < -MASTER_RTOL * max(1.0, report.product):
-            raise MasterInequalityViolation(_violation_message(report, state, a, b))
-        evals[0] += 1
-        score = 0.0 if report.ratio is None else report.ratio
-        if score > state_best["score"]:
-            state_best["score"] = score
-            state_best["instance"] = (state, a, b, q)
-            trajectory.append((evals[0], score))
-        return score
-
     dim_theta = n + 3 * n * n
     restarts = max(4, budget // RESTART_SHARE)
     share, extra = divmod(budget, restarts)
-    for r in range(restarts):
-        allowance = share + (1 if r < extra else 0)
-        if allowance == 0:
-            continue
-        start = rng.split(r).generator().standard_normal(dim_theta)
-        _nelder_mead_max(evaluate, start, allowance)
+    # Restarts past the budget get no evaluation and are never started.
+    stop = min(restarts, budget)
+    window = max(1, _LOCKSTEP_FLOATS // ((dim_theta + 1) * dim_theta))
+    cap = max(1, _BATCH_ENTRIES // (n * n))
+
+    best, instance, evals = -np.inf, None, 0
+    trajectory: list[tuple[int, float]] = []
+    live: list[_Restart] = []
+    finished: dict[int, _Restart] = {}
+    started = folded = 0
+    while True:
+        while len(live) < window and started < stop:
+            start = rng.split(started).generator().standard_normal(dim_theta)
+            live.append(_Restart(started, start, share + (started < extra)))
+            started += 1
+        if not live:
+            break
+        _evaluate_round(live, n, q, cap)
+        failed = min((r.index for r in live if r.error is not None), default=stop)
+        # A restart past the first failed one would run after it; none does.
+        stop = min(stop, failed + 1)
+        running = []
+        for restart in live:
+            if restart.index >= stop:
+                continue
+            if restart.advance():
+                running.append(restart)
+            else:
+                finished[restart.index] = restart
+        live = running
+        # Replay the bookkeeping of every restart whose predecessors are done.
+        while folded in finished:
+            restart = finished.pop(folded)
+            if restart.error is not None:
+                raise restart.error
+            for used, score in restart.trajectory:
+                if score > best:
+                    best, instance = score, restart.instance
+                    trajectory.append((evals + used, score))
+            evals += restart.used
+            folded += 1
 
     return SearchResult(
-        best_ratio=float(state_best["score"]),
-        best_instance=state_best["instance"],
-        evaluations=evals[0],
+        best_ratio=float(best),
+        best_instance=(*instance, q),
+        evaluations=evals,
         trajectory=tuple(trajectory),
     )
+
+
+class _Restart:
+    """One restart's simplex run, its pending points and its own bookkeeping.
+
+    ``trajectory`` holds (evaluation index within the restart, score) at
+    each rise of the restart's best score, and ``instance`` read-only
+    copies of the arrays of the latest such row: only those rows can
+    raise the best of the whole search.  ``error`` is the first error its
+    evaluations raised, which ends the restart.
+    """
+
+    def __init__(self, index: int, start: np.ndarray, allowance: int) -> None:
+        self.index = index
+        self.allowance = allowance
+        self.used = 0
+        self.best = -np.inf
+        self.instance = None
+        self.trajectory: list[tuple[int, float]] = []
+        self.error: QcboundsError | None = None
+        self.scores: list[float] = []
+        self.steps = _nelder_mead_max(start)
+        self._ask(next(self.steps))
+
+    def _ask(self, request: np.ndarray) -> bool:
+        # Pends the request, cut to the evaluations left.  The run stops
+        # at the first evaluation past the allowance, so a request cut
+        # short is the last; False when nothing is left to evaluate.
+        self.points = request[: self.allowance - self.used]
+        self.cut = len(self.points) < len(request)
+        return len(self.points) > 0
+
+    def take(self, outcome, decoded: _Decoded | None, row: int) -> None:
+        """Book one evaluated point, in the restart's own order."""
+        if self.error is not None:
+            return
+        if isinstance(outcome, QcboundsError):
+            self.error = outcome
+            return
+        self.used += 1
+        self.scores.append(outcome)
+        if outcome > self.best:
+            self.best = outcome
+            self.trajectory.append((self.used, outcome))
+            self.instance = _instance(decoded, row)
+
+    def advance(self) -> bool:
+        """Send the scores of the evaluated points; False once the run ends."""
+        if self.error is not None or self.cut:
+            return False
+        scores, self.scores = np.array(self.scores), []
+        try:
+            request = self.steps.send(scores)
+        except StopIteration:
+            return False
+        return self._ask(request)
+
+
+def _evaluate_round(live: list[_Restart], n: int, q: float, cap: int) -> None:
+    # Every pending point of the live restarts, stacked in restart order,
+    # evaluated in chunks of ``cap`` instances and booked to its restart.
+    owners = [restart for restart in live for _ in range(len(restart.points))]
+    thetas = np.concatenate([restart.points for restart in live])
+    for lo in range(0, len(thetas), cap):
+        outcomes = _outcomes(thetas[lo : lo + cap], n, q)
+        for restart, (decoded, row, outcome) in zip(owners[lo : lo + cap], outcomes):
+            restart.take(outcome, decoded, row)
+
+
+def _outcomes(thetas: np.ndarray, n: int, q: float):
+    """Yield ``(decoded, row, outcome)`` for each row of ``thetas``, in order.
+
+    ``outcome`` is the score of the row's instance, its ratio or 0.0 when
+    it has none, or the ``QcboundsError`` its evaluation raised: a
+    ``DomainError`` from decoding, an error of ``_report``, or a
+    ``MasterInequalityViolation`` carrying the instance.
+    """
+    try:
+        decoded = _decode_batch(thetas, n)
+    except DomainError as exc:
+        if len(thetas) == 1:
+            yield None, 0, exc
+            return
+        # A stacked eigh fails as a whole; decode row by row to find the
+        # failing rows.
+        for row in range(len(thetas)):
+            yield from _outcomes(thetas[row : row + 1], n, q)
+        return
+    traces = _trace_rows(decoded.rho, decoded.vals, decoded.a, decoded.b)
+    for row, t in enumerate(traces):
+        try:
+            report = _report(t, q)
+        except QcboundsError as exc:
+            yield decoded, row, exc
+            continue
+        if report.slack < -MASTER_RTOL * max(1.0, report.product):
+            message = _violation_message(report, *_instance(decoded, row))
+            yield decoded, row, MasterInequalityViolation(message)
+        else:
+            yield decoded, row, 0.0 if report.ratio is None else report.ratio
+
+
+class _Decoded(NamedTuple):
+    """The instances of a stack of parameter vectors, one per leading index."""
+
+    rho: np.ndarray  # (m, n, n)
+    vals: np.ndarray  # (m, n), ascending, normalised to unit sum
+    frame: np.ndarray  # (m, n, n)
+    a: np.ndarray  # (m, n, n)
+    b: np.ndarray  # (m, n, n)
+
+
+def _decode_batch(thetas: np.ndarray, n: int) -> _Decoded:
+    # Spectrum via softmax (stays inside the simplex, so states are
+    # faithful), eigenframe via the unitary exponential of a Hermitian
+    # matrix, observables as raw Hermitian coordinate vectors.  Every
+    # step acts row by row, so row i is bitwise the decode of thetas[i]
+    # on its own.
+    logits = thetas[:, :n]
+    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+    spectra = np.sort(shifted / shifted.sum(axis=1, keepdims=True), axis=1)
+    blocks = _hermitian_blocks(thetas, n)
+    try:
+        w, v = np.linalg.eigh(blocks[:, 0])
+    except np.linalg.LinAlgError as exc:
+        # Non-finite coordinates stop eigh from converging.
+        raise DomainError(f"frame coordinates give no eigenbasis: {exc}") from exc
+    frame = (v * np.exp(1j * w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    rho, vals = _density_arrays(spectra, frame)
+    a, b = _symmetrised(blocks[:, 1]), _symmetrised(blocks[:, 2])
+    return _Decoded(rho, vals, frame, a, b)
+
+
+def _instance(
+    decoded: _Decoded, row: int
+) -> tuple[DensityMatrix, HermitianMatrix, HermitianMatrix]:
+    # Read-only copies of one row, so that no whole stack stays alive.
+    rho, vals, frame, a, b = (np.array(arr[row]) for arr in decoded)
+    return _density_value(rho, vals, frame), _hermitian_value(a), _hermitian_value(b)
 
 
 def _decode(
     theta: np.ndarray, n: int
 ) -> tuple[DensityMatrix, HermitianMatrix, HermitianMatrix]:
-    # Spectrum via softmax (stays inside the simplex, so states are
-    # faithful), eigenframe via the unitary exponential of a Hermitian
-    # matrix, observables as raw Hermitian coordinate vectors.
-    k = n * n
-    logits = theta[:n]
-    shifted = np.exp(logits - logits.max())
-    spectrum = np.sort(shifted / shifted.sum())
-    frame = _unitary_from_reals(theta[n : n + k], n)
-    a = _unchecked_hermitian(_hermitian_from_reals(theta[n + k : n + 2 * k], n))
-    b = _unchecked_hermitian(_hermitian_from_reals(theta[n + 2 * k :], n))
-    return _unchecked_density(spectrum, frame), a, b
+    # One parameter vector: row 0 of a one-row stack.
+    return _instance(_decode_batch(theta[None], n), 0)
 
 
-def _hermitian_from_reals(vec: np.ndarray, n: int) -> np.ndarray:
-    # Coordinate layout of the n*n reals: vec[:n] is the real diagonal,
-    # then one (Re m_ij, Im m_ij) pair per i < j in row-major order; m_ji
-    # is the conjugate of m_ij.  Entries are written as real and imaginary
-    # parts through the matrix's float view, never as ``re + 1j*im``, so a
-    # -0.0 or huge coordinate lands exactly as ``complex(re, im)`` puts it.
+def _hermitian_blocks(thetas: np.ndarray, n: int) -> np.ndarray:
+    # The (m, 3, n, n) complex matrices of the frame, A and B coordinate
+    # blocks of each row.  Layout of one block's n*n reals: the real
+    # diagonal first, then one (Re m_ij, Im m_ij) pair per i < j in
+    # row-major order; m_ji is the conjugate of m_ij.  Entries are written
+    # as real and imaginary parts through the float view, never as
+    # ``re + 1j*im``, so a -0.0 or huge coordinate lands exactly as
+    # ``complex(re, im)`` puts it.
     dest, src, sign = _scatter_plan(n)
-    flat = np.zeros(2 * n * n)
-    flat[dest] = vec[src] * sign
-    return flat.view(complex).reshape(n, n)
+    flat = np.zeros((len(thetas), 6 * n * n))
+    flat[:, dest] = thetas[:, src] * sign
+    return flat.view(complex).reshape(len(thetas), 3, n, n)
 
 
 @cache
 def _scatter_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Index arrays of _hermitian_from_reals: float-view position, source
-    # coordinate and sign (-1 only for Im m_ji) of every nonzero part.
+    # Index arrays of _hermitian_blocks: float-view position, coordinate
+    # of theta and sign (-1 only for Im m_ji) of every nonzero part.
+    k = n * n
     rows, cols = np.triu_indices(n, 1)
     pairs = n + 2 * np.arange(rows.size)
     diag = 2 * (n + 1) * np.arange(n)
@@ -175,80 +354,55 @@ def _scatter_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     src = np.concatenate((np.arange(n), pairs, pairs + 1, pairs, pairs + 1))
     sign = np.ones(dest.size)
     sign[dest.size - rows.size :] = -1.0
+    dest = np.concatenate([dest + 2 * k * block for block in range(3)])
+    src = np.concatenate([src + n + k * block for block in range(3)])
+    sign = np.tile(sign, 3)
     for arr in (dest, src, sign):
         arr.setflags(write=False)
     return dest, src, sign
 
 
-def _unitary_from_reals(vec: np.ndarray, n: int) -> np.ndarray:
-    herm = _hermitian_from_reals(vec, n)
-    try:
-        w, v = np.linalg.eigh(herm)
-    except np.linalg.LinAlgError as exc:
-        # Non-finite coordinates stop eigh from converging.
-        raise DomainError(f"frame coordinates give no eigenbasis: {exc}") from exc
-    return (v * np.exp(1j * w)) @ v.conj().T
-
-
-class _BudgetExhausted(Exception):
-    pass
-
-
-def _nelder_mead_max(evaluate, start: np.ndarray, max_evals: int) -> None:
+def _nelder_mead_max(start: np.ndarray):
     # Standard reflect/expand/contract/shrink simplex, maximising by
-    # minimising the negated score, with a hard cap on evaluations.
-    used = [0]
-
-    def f(x: np.ndarray) -> float:
-        if used[0] >= max_evals:
-            raise _BudgetExhausted
-        used[0] += 1
-        return -evaluate(x)
-
+    # minimising the negated score.  A generator: it yields each stack of
+    # points it needs, the initial simplex, one reflect, expand or
+    # contract point, or the shrunk vertices, and is sent their scores.
+    # It returns once the simplex diameter falls below
+    # SIMPLEX_DIAMETER_TOL; the caller caps the evaluations.
     d = start.size
     alpha, gamma, beta, delta = 1.0, 2.0, 0.5, 0.5
-    try:
-        verts = [np.array(start)]
-        vals = [f(start)]
-        for i in range(d):
-            vertex = np.array(start)
-            vertex[i] += SIMPLEX_STEP
-            verts.append(vertex)
-            vals.append(f(vertex))
-        verts = np.array(verts)
-        vals = np.array(vals)
-        while True:
-            order = np.argsort(vals, kind="stable")
-            verts, vals = verts[order], vals[order]
-            diameter = float(np.max(np.abs(verts[1:] - verts[0])))
-            if diameter < SIMPLEX_DIAMETER_TOL:
-                break
-            centroid = verts[:-1].mean(axis=0)
-            reflected = centroid + alpha * (centroid - verts[-1])
-            f_reflected = f(reflected)
-            if f_reflected < vals[0]:
-                expanded = centroid + gamma * (reflected - centroid)
-                f_expanded = f(expanded)
-                if f_expanded < f_reflected:
-                    verts[-1], vals[-1] = expanded, f_expanded
-                else:
-                    verts[-1], vals[-1] = reflected, f_reflected
-            elif f_reflected < vals[-2]:
-                verts[-1], vals[-1] = reflected, f_reflected
+    verts = np.tile(start, (d + 1, 1))
+    verts[np.arange(1, d + 1), np.arange(d)] += SIMPLEX_STEP
+    vals = -(yield verts)
+    while True:
+        order = np.argsort(vals, kind="stable")
+        verts, vals = verts[order], vals[order]
+        diameter = float(np.max(np.abs(verts[1:] - verts[0])))
+        if diameter < SIMPLEX_DIAMETER_TOL:
+            return
+        centroid = verts[:-1].mean(axis=0)
+        reflected = centroid + alpha * (centroid - verts[-1])
+        (f_reflected,) = -(yield reflected[None])
+        if f_reflected < vals[0]:
+            expanded = centroid + gamma * (reflected - centroid)
+            (f_expanded,) = -(yield expanded[None])
+            if f_expanded < f_reflected:
+                verts[-1], vals[-1] = expanded, f_expanded
             else:
-                if f_reflected < vals[-1]:
-                    contracted = centroid + beta * (reflected - centroid)
-                else:
-                    contracted = centroid + beta * (verts[-1] - centroid)
-                f_contracted = f(contracted)
-                if f_contracted < min(f_reflected, vals[-1]):
-                    verts[-1], vals[-1] = contracted, f_contracted
-                else:
-                    for i in range(1, d + 1):
-                        verts[i] = verts[0] + delta * (verts[i] - verts[0])
-                        vals[i] = f(verts[i])
-    except _BudgetExhausted:
-        return
+                verts[-1], vals[-1] = reflected, f_reflected
+        elif f_reflected < vals[-2]:
+            verts[-1], vals[-1] = reflected, f_reflected
+        else:
+            if f_reflected < vals[-1]:
+                contracted = centroid + beta * (reflected - centroid)
+            else:
+                contracted = centroid + beta * (verts[-1] - centroid)
+            (f_contracted,) = -(yield contracted[None])
+            if f_contracted < min(f_reflected, vals[-1]):
+                verts[-1], vals[-1] = contracted, f_contracted
+            else:
+                verts[1:] = verts[0] + delta * (verts[1:] - verts[0])
+                vals[1:] = -(yield verts[1:])
 
 
 def _violation_message(

@@ -222,6 +222,17 @@ def test_sweep_malformed_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_sweep_exits_2_on_a_cell_past_the_float_range(tmp_path, capsys):
+    doc = {"dim": 1, "rho": [[{"re": 1, "im": 0}]], "a": [[{"re": 10**400, "im": 0}]],
+           "b": [[{"re": 0, "im": 0}]]}  # fmt: skip
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", bad, "--out", out) == 2
+    assert capsys.readouterr().err.startswith("error: a[0][0] is past the float range")
+    assert not out.exists()
+
+
 def test_sweep_rejects_bad_steps(pauli_file, capsys):
     assert run_cli("sweep", pauli_file, "--steps", "0") == 2
     capsys.readouterr()
@@ -234,15 +245,16 @@ def test_search_rejects_dimension_one(capsys):
 
 def test_search_exits_1_on_a_violation(tmp_path, monkeypatch, capsys):
     # A refined bound inflated past the product must read as a verified
-    # violation (exit 1), not as invalid input (exit 2).
-    honest = qc.search.bound_report
+    # violation (exit 1), not as invalid input (exit 2).  The search
+    # evaluates each decoded row through _report.
+    honest = qc.search._report
 
-    def inflated(state, a, b, q):
-        report = honest(state, a, b, q)
+    def inflated(traces, q):
+        report = honest(traces, q)
         refined = 2.0 * report.product + 1.0
         return report._replace(refined=refined, slack=report.product - refined)
 
-    monkeypatch.setattr(qc.search, "bound_report", inflated)
+    monkeypatch.setattr(qc.search, "_report", inflated)
     out = tmp_path / "found.json"
     code = run_cli("search", "--n", "2", "--budget", "10", "--out", out)
     assert code == 1

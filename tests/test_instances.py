@@ -77,6 +77,17 @@ def test_malformed_documents_rejected(tmp_path):
             qc.payload_to_instance(payload)
 
 
+def test_integer_cell_past_the_float_range_rejected(tmp_path):
+    # JSON integers are unbounded; 10**400 overflowed complex() with a
+    # bare OverflowError.
+    doc = {"dim": 1, "rho": [[{"re": 1, "im": 0}]], "a": [[{"re": 0, "im": 0}]],
+           "b": [[{"re": 0, "im": -(10**400)}]]}  # fmt: skip
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InstanceFormatError, match=r"b\[0\]\[0\]"):
+        qc.load_instance(path)
+
+
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(InstanceFormatError):
         qc.load_instance(tmp_path / "nope.json")

@@ -85,11 +85,21 @@ COORD = st.one_of(SIGNED_ZEROS, st.sampled_from([1e300, -1e300]), st.floats(-50.
 
 @st.composite
 def thetas(draw):
+    # A stack of 1 to 8 parameter vectors.  Its first row is drawn by
+    # coordinate; the others, whose coordinates would be slow to draw one
+    # by one, mix the same kinds of value from a seeded generator.
     n = draw(st.integers(1, 8))
     k = n * n
     frame = draw(st.lists(FRAME_COORD, min_size=k, max_size=k))
     rest = draw(st.lists(COORD, min_size=n + 2 * k, max_size=n + 2 * k))
-    return n, np.array(rest[:n] + frame + rest[n:])
+    g = np.random.default_rng(draw(st.integers(0, 2**32)))
+    shape = (draw(st.integers(0, 7)), n + 3 * k)
+    rows = g.uniform(-50.0, 50.0, shape)
+    rows[:, n : n + k] /= 10.0
+    special = g.choice([0.0, -0.0, 1e300, -1e300], shape)
+    special[:, n : n + k] = g.choice([0.0, -0.0], (shape[0], k))
+    rows = np.where(g.random(shape) < 0.2, special, rows)
+    return n, np.vstack([rest[:n] + frame + rest[n:], rows])
 
 
 @given(st.integers(0, 2**32), st.integers(1, 8))
@@ -119,15 +129,23 @@ def test_random_density_equals_validating_path(seed, n, deficient):
 @given(thetas())
 @settings(max_examples=150, deadline=None)
 def test_decode_equals_loop_decoder(case):
-    n, theta = case
-    assert (
-        search._hermitian_from_reals(theta[n:], n).tobytes()
-        == loop_hermitian_from_reals(theta[n:], n).tobytes()
-    )
-    decoded = search._decode(theta, n)
-    expected = loop_decode(theta, n)
-    for got, want in zip(decoded, expected):
-        assert parts(got) == parts(want)
+    # Each row of a stacked decode is the loop decoder's instance of that
+    # row's parameter vector, and so is a one-row decode.
+    n, stack = case
+    k = n * n
+    blocks = search._hermitian_blocks(stack, n)
+    decoded = search._decode_batch(stack, n)
+    for row, theta in enumerate(stack):
+        for block in range(3):
+            coords = theta[n + block * k :]
+            assert (
+                blocks[row, block].tobytes()
+                == loop_hermitian_from_reals(coords, n).tobytes()
+            )
+        expected = loop_decode(theta, n)
+        for got in (search._instance(decoded, row), search._decode(theta, n)):
+            for value, want in zip(got, expected, strict=True):
+                assert parts(value) == parts(want)
 
 
 def test_decode_handles_signed_zeros_and_huge_coordinates():
