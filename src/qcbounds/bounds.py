@@ -18,9 +18,10 @@ Values past the float range raise ``NonFinite``, never a bare
 ``OverflowError``.  Tests check the proof steps behind the bound.
 
 The pass is one kernel, ``_trace_kernel``, that takes one instance or a
-stack of them.  ``_traces`` runs it on one instance; ``verify`` runs it
-once per batch of drawn trials through ``_trace_rows``, and builds each
-record from its row with the same scalar ``_report``.
+stack of them.  ``_traces`` runs it on one instance; ``verify`` and
+``search`` run it once per stack of instances (``hermitian._Instances``)
+through ``_trace_rows``, build each report from its row with the same
+scalar ``_report`` and judge the master inequality with ``_violated``.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .hermitian import (
     HermitianMatrix,
     _centred,
     _check_same_dim,
+    _Instances,
     _trace3,
 )
 
@@ -141,11 +143,14 @@ def refined_q_bound(
     with A0 and B0 swapped when |q| > 1.  Negative q needs only |q|,
     because {A0,B0}_q = [A0,B0]_|q| for q < 0; q = 0 gives |Tr[rho A0 B0]|^2.
 
-    A flagged-infinite coefficient is only reachable when the matching
-    trace term vanishes, in which case the bound is defined as zero; a
-    non-vanishing term there raises ``DegenerateCoefficient``.  Where a
-    huge |q| overflows the |q| > 1 form, the bound is evaluated as the
-    equal ``refined_coefficient(1/|q|) |Tr[rho [A0,B0]_(1/|q|)]|^2``.
+    A coefficient denominator below ``DEGENERATE_DENOMINATOR`` flags the
+    coefficient infinite.  The bound is then zero while the modulus of the
+    matching trace term is below ``DEGENERATE_TERM``, and
+    ``DegenerateCoefficient`` is raised when it is at least that.  Valid
+    input reaches both, on near-uniform spectra at |q| close to 1, where
+    the bound is finite.  Where a huge |q| overflows the |q| > 1 form, the
+    bound is evaluated as the equal
+    ``refined_coefficient(1/|q|) |Tr[rho [A0,B0]_(1/|q|)]|^2``.
     """
     return _traces(state, a, b).refined(float(q))
 
@@ -156,7 +161,9 @@ class BoundReport(NamedTuple):
     ``refined`` is ``refined_q_bound`` at ``q``, including at q = 1;
     ``ratio`` is None when the variance product sits below ``RATIO_FLOOR``.
     An immutable named tuple: its fields read by name or by position, in
-    the order below, which is also the column order of the CLI records.
+    the order below.  The CLI records order the same fields as
+    ``cli.CSV_COLUMNS`` does, with ``lambda_min`` and ``lambda_max``
+    before ``var_a``.
     """
 
     dim: int
@@ -284,17 +291,13 @@ def _traces(state: DensityMatrix, a: HermitianMatrix, b: HermitianMatrix) -> _Tr
     return _row(state.dim, _trace_kernel(state.mat, state.eigenvalues, a.mat, b.mat))
 
 
-def _trace_rows(
-    rho: np.ndarray, vals: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> Iterator[_Traces]:
-    """Yield the ``_Traces`` of each instance of a stack, in order.
+def _trace_rows(stack: _Instances) -> Iterator[_Traces]:
+    """Yield the ``_Traces`` of each instance of ``stack``, in order.
 
-    ``rho``, ``a`` and ``b`` hold one matrix per instance along the
-    leading axis, and ``vals`` the state's ascending spectrum.  Row ``i``
-    equals ``_traces`` of instance ``i`` bit for bit.
+    Row ``i`` equals ``_traces`` of ``stack.row(i)`` bit for bit.
     """
-    dim = rho.shape[-1]
-    for row in zip(*_trace_kernel(rho, vals, a, b)):
+    dim = stack.rho.shape[-1]
+    for row in zip(*_trace_kernel(stack.rho, stack.vals, stack.a, stack.b)):
         yield _row(dim, row)
 
 
@@ -368,3 +371,12 @@ def _report(t: _Traces, q: float) -> BoundReport:
         product - refined,
         None if product < RATIO_FLOOR else refined / product,
     )
+
+
+def _violated(report: BoundReport, rtol: float) -> bool:
+    """Return whether ``report`` breaks the master inequality at ``rtol``.
+
+    The slack may fall below zero by ``rtol`` times the variance product,
+    and by ``rtol`` absolutely where the product is below 1.
+    """
+    return report.slack < -rtol * max(1.0, report.product)

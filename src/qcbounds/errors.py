@@ -42,10 +42,13 @@ class InvalidSpectrum(QcboundsError):
 
 
 class DegenerateCoefficient(QcboundsError):
-    """Infinite bound coefficient paired with a non-vanishing trace term.
+    """Flagged-infinite bound coefficient with a trace term not below a floor.
 
-    Exact arithmetic rules this combination out, so hitting it means the
-    inputs were corrupted upstream.
+    Raised when the refined coefficient's denominator falls below
+    ``bounds.DEGENERATE_DENOMINATOR`` while the modulus of the matching
+    trace term is at least ``bounds.DEGENERATE_TERM``.  Valid input
+    reaches it, on near-uniform spectra at |q| close to 1, where the
+    bound is finite.
     """
 
 

@@ -40,8 +40,10 @@ from .errors import DomainError, InvalidDimension, InvalidRank
 from .hermitian import (
     DensityMatrix,
     HermitianMatrix,
-    _unchecked_density,
-    _unchecked_hermitian,
+    _density_arrays,
+    _density_value,
+    _hermitian_value,
+    _symmetrised,
     density_from_decomposition,
 )
 
@@ -200,7 +202,7 @@ def random_hermitian(n: int, rng: SeededRng) -> HermitianMatrix:
         raise InvalidDimension(f"n must be >= 1, got {n}")
     re, im = np.empty((2, n, n))
     _draw_gaussian(rng.generator(), re, im)
-    return _unchecked_hermitian(_complex_matrix(re, im))
+    return _hermitian_value(_symmetrised(_complex_matrix(re, im)))
 
 
 def random_density(n: int, rank: int, rng: SeededRng) -> DensityMatrix:
@@ -231,7 +233,7 @@ def random_density(n: int, rank: int, rng: SeededRng) -> DensityMatrix:
     re, im = np.empty((2, n, n))
     _draw_state(rng.generator(), rank, exps, re, im)
     frame = _unitary_frame(_complex_matrix(re, im))
-    return _unchecked_density(_spectrum(exps), frame)
+    return _density_value(*_density_arrays(_spectrum(exps), frame), frame)
 
 
 def maximally_mixed(n: int) -> DensityMatrix:

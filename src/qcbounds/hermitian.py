@@ -9,45 +9,31 @@ Validation happens once, at the trust boundary.  The dataclass
 constructors, :func:`make_hermitian`, :func:`make_density` and
 :func:`density_from_decomposition` check every input, and
 ``instances.load_instance`` builds through them.  Instances the package
-builds itself are valid by construction, so two internal constructors
-skip the checks and keep only the arithmetic:
+builds itself are valid by construction and skip the checks.
 
-* :func:`_unchecked_hermitian` symmetrises a complex square matrix as
-  :func:`make_hermitian` does; the caller guarantees it is finite and
-  Hermitian within tolerance.  Callers: :func:`make_hermitian` (after
-  checking the raw input) and ``generators.random_hermitian`` (a
-  Gaussian matrix ``M``, giving ``(M + M†) / 2``).
-* :func:`_unchecked_density` builds a state from a spectrum and a frame
-  as :func:`density_from_decomposition` does; the caller guarantees a
-  finite, nonnegative, ascending spectrum summing to one within rounding
-  and a frame unitary within rounding.  Callers: :func:`make_density`
-  (after checking the raw input; the clamped, normalised spectrum and the
-  frame ``eigh`` returns) and ``generators.random_density`` (Dirichlet
-  spectrum, sorted; frame from QR).
+The arithmetic lives in two array functions that act on the trailing two
+axes, so one call serves one matrix or a stack of them:
+:func:`_symmetrised`, the ``(M + M†) / 2`` of :func:`make_hermitian`, and
+:func:`_density_arrays`, the matrix and normalised spectrum of a state
+given as a spectrum and a frame.  :func:`_hermitian_value` and
+:func:`_density_value` wrap their results as they are, read-only, with no
+check: :func:`make_hermitian` and :func:`make_density` call them after
+their checks, and ``generators.random_hermitian`` and ``random_density``
+on their draws.
 
-Both produce bitwise the values the validating path would, and make the
-stored arrays read-only; ``_unchecked_density`` keeps the given frame
-array itself, so its caller hands it over.
-
-Their arithmetic lives in two array functions that act on the trailing
-two axes, so one call serves one matrix or a stack of them:
-:func:`_symmetrised` and :func:`_density_arrays`.  ``verify`` calls
-them on stacks of drawn trials (``cli._build_batch``), and gets row for
-row the bytes ``random_hermitian`` and ``random_density`` give one at a
-time.  ``search._decode_batch`` calls them on stacks of decoded
-parameter vectors: each entry below the diagonal is the conjugate of the
-one above it, and the spectrum is a sorted softmax with the exponential
-of ``i`` times a Hermitian matrix as frame.  The search keeps single rows
-through :func:`_hermitian_value` and :func:`_density_value`, which wrap
-arrays as they are, read-only, as the two constructors above do with
-the arrays they compute.  :func:`_centred` and :func:`_trace3`, which
-:func:`center`, :func:`variance` and ``bounds`` evaluate through, take
-either as well.
+``verify`` (``cli._build_batch``) and ``search`` (``search._decode_batch``)
+build whole stacks of instances at once, as an :class:`_Instances`, which
+``bounds._trace_rows`` evaluates.  Every step acts row by row, so row
+``i`` is bitwise the instance built from its inputs alone, and
+:meth:`_Instances.row` wraps read-only copies of it as value types.  :func:`_centred` and
+:func:`_trace3`, which :func:`center`, :func:`variance` and ``bounds``
+evaluate through, take one matrix or a stack as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -194,10 +180,10 @@ def make_hermitian(raw) -> HermitianMatrix:
     arr = _as_square_complex(raw, "matrix")
     if _hermiticity_defect(arr) > HERMITICITY_RTOL:
         raise NotHermitian("matrix is not Hermitian within tolerance")
-    out = _unchecked_hermitian(arr)
+    sym = _symmetrised(arr)
     # Entries near the float maximum can overflow in the symmetrisation.
-    _check_finite(out.mat, "matrix")
-    return out
+    _check_finite(sym, "matrix")
+    return _hermitian_value(sym)
 
 
 def make_density(raw) -> DensityMatrix:
@@ -225,7 +211,7 @@ def make_density(raw) -> DensityMatrix:
     if low < -EIG_CLAMP:
         raise NotPositive(f"negative eigenvalue {low!r}")
     vals = np.where(vals < 0.0, 0.0, vals)
-    return _unchecked_density(vals / vals.sum(), frame)
+    return _density_value(*_density_arrays(vals / vals.sum(), frame), frame)
 
 
 def _symmetrised(raw: np.ndarray) -> np.ndarray:
@@ -244,19 +230,6 @@ def _density_arrays(
     return _symmetrised(mat), vals / vals.sum(axis=-1, keepdims=True)
 
 
-def _unchecked_hermitian(raw: np.ndarray) -> HermitianMatrix:
-    # The arithmetic of make_hermitian, without its checks.
-    return _hermitian_value(_symmetrised(raw))
-
-
-def _unchecked_density(vals: np.ndarray, frame: np.ndarray) -> DensityMatrix:
-    # Same arithmetic as density_from_decomposition followed by
-    # DensityMatrix.__post_init__, without the checks: the caller
-    # guarantees the invariants listed in the module docstring.
-    mat, vals = _density_arrays(vals, frame)
-    return _density_value(mat, vals, frame)
-
-
 def _hermitian_value(mat: np.ndarray) -> HermitianMatrix:
     # Wraps an already symmetrised matrix as is, made read-only.
     mat.setflags(write=False)
@@ -269,7 +242,9 @@ def _density_value(
     mat: np.ndarray, vals: np.ndarray, frame: np.ndarray
 ) -> DensityMatrix:
     # Wraps the arrays _density_arrays gives, and their frame, as they
-    # are, made read-only.
+    # are, made read-only.  The caller guarantees a finite, nonnegative,
+    # ascending spectrum summing to one within rounding and a frame
+    # unitary within rounding, and hands the arrays over.
     for arr in (mat, vals, frame):
         arr.setflags(write=False)
     out = object.__new__(DensityMatrix)
@@ -277,6 +252,25 @@ def _density_value(
     object.__setattr__(out, "eigenvalues", vals)
     object.__setattr__(out, "eigenvectors", frame)
     return out
+
+
+class _Instances(NamedTuple):
+    """A stack of instances, one per index of the leading axis."""
+
+    rho: np.ndarray  # (m, n, n)
+    vals: np.ndarray  # (m, n), ascending, normalised to unit sum
+    frame: np.ndarray  # (m, n, n), column j belongs to vals[:, j]
+    a: np.ndarray  # (m, n, n)
+    b: np.ndarray  # (m, n, n)
+
+    def row(self, i: int) -> tuple[DensityMatrix, HermitianMatrix, HermitianMatrix]:
+        """Return instance ``i`` as value types over read-only copies.
+
+        The copies keep no whole stack alive.
+        """
+        rho, vals, frame, a, b = (np.array(arr[i]) for arr in self)
+        state = _density_value(rho, vals, frame)
+        return state, _hermitian_value(a), _hermitian_value(b)
 
 
 def density_from_decomposition(eigenvalues, eigenvectors) -> DensityMatrix:

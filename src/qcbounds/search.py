@@ -7,20 +7,29 @@ test of the master inequality; a violation aborts the search with the
 offending instance attached to the raised error.
 
 The restarts run in lockstep: each step of every restart in flight asks
-for its points, and all of them are decoded and evaluated as one stack
-(``_decode_batch``, then ``bounds._trace_rows`` and ``_report``).  The
-result is the one the restarts would give run one after another.
+for its points, and all of them are decoded into one stack of instances
+(``_decode_batch``, a ``hermitian._Instances``) and evaluated through
+``bounds._trace_rows``, ``_report`` and ``_violated``, as ``verify``
+evaluates its batches.  The result is the one the restarts would give
+run one after another.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import _BATCH_ENTRIES, BoundReport, _report, _trace_rows, _traces
+from .algebra import classify_q
+from .bounds import (
+    _BATCH_ENTRIES,
+    BoundReport,
+    _report,
+    _trace_rows,
+    _traces,
+    _violated,
+)
 
 # Nothing here calls bound_report: the name stays bound for the traced
 # benchmark runs, which hook ``search.bound_report`` (perfbench/spans.py).
@@ -37,8 +46,7 @@ from .hermitian import (
     DensityMatrix,
     HermitianMatrix,
     _density_arrays,
-    _density_value,
-    _hermitian_value,
+    _Instances,
     _symmetrised,
 )
 from .instances import instance_payload
@@ -96,7 +104,7 @@ def maximize_tightness(
     n : int
         Matrix dimension, at least 2.
     q : float
-        Fixed deformation parameter.
+        Fixed deformation parameter, finite.
     budget : int
         Total number of instance evaluations allowed, split evenly over
         ``max(4, budget // 2000)`` random restarts.
@@ -126,6 +134,7 @@ def maximize_tightness(
     if budget < 1:
         raise BudgetZero(f"budget must be >= 1, got {budget}")
     q = float(q)
+    classify_q(q)  # rejects non-finite q
 
     dim_theta = n + 3 * n * n
     restarts = max(4, budget // RESTART_SHARE)
@@ -210,7 +219,7 @@ class _Restart:
         self.cut = len(self.points) < len(request)
         return len(self.points) > 0
 
-    def take(self, outcome, decoded: _Decoded | None, row: int) -> None:
+    def take(self, outcome, decoded: _Instances | None, row: int) -> None:
         """Book one evaluated point, in the restart's own order."""
         if self.error is not None:
             return
@@ -222,7 +231,7 @@ class _Restart:
         if outcome > self.best:
             self.best = outcome
             self.trajectory.append((self.used, outcome))
-            self.instance = _instance(decoded, row)
+            self.instance = decoded.row(row)
 
     def advance(self) -> bool:
         """Send the scores of the evaluated points; False once the run ends."""
@@ -266,31 +275,20 @@ def _outcomes(thetas: np.ndarray, n: int, q: float):
         for row in range(len(thetas)):
             yield from _outcomes(thetas[row : row + 1], n, q)
         return
-    traces = _trace_rows(decoded.rho, decoded.vals, decoded.a, decoded.b)
-    for row, t in enumerate(traces):
+    for row, t in enumerate(_trace_rows(decoded)):
         try:
             report = _report(t, q)
         except QcboundsError as exc:
             yield decoded, row, exc
             continue
-        if report.slack < -MASTER_RTOL * max(1.0, report.product):
-            message = _violation_message(report, *_instance(decoded, row))
+        if _violated(report, MASTER_RTOL):
+            message = _violation_message(report, *decoded.row(row))
             yield decoded, row, MasterInequalityViolation(message)
         else:
             yield decoded, row, 0.0 if report.ratio is None else report.ratio
 
 
-class _Decoded(NamedTuple):
-    """The instances of a stack of parameter vectors, one per leading index."""
-
-    rho: np.ndarray  # (m, n, n)
-    vals: np.ndarray  # (m, n), ascending, normalised to unit sum
-    frame: np.ndarray  # (m, n, n)
-    a: np.ndarray  # (m, n, n)
-    b: np.ndarray  # (m, n, n)
-
-
-def _decode_batch(thetas: np.ndarray, n: int) -> _Decoded:
+def _decode_batch(thetas: np.ndarray, n: int) -> _Instances:
     # Spectrum via softmax (stays inside the simplex, so states are
     # faithful), eigenframe via the unitary exponential of a Hermitian
     # matrix, observables as raw Hermitian coordinate vectors.  Every
@@ -308,22 +306,14 @@ def _decode_batch(thetas: np.ndarray, n: int) -> _Decoded:
     frame = (v * np.exp(1j * w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
     rho, vals = _density_arrays(spectra, frame)
     a, b = _symmetrised(blocks[:, 1]), _symmetrised(blocks[:, 2])
-    return _Decoded(rho, vals, frame, a, b)
-
-
-def _instance(
-    decoded: _Decoded, row: int
-) -> tuple[DensityMatrix, HermitianMatrix, HermitianMatrix]:
-    # Read-only copies of one row, so that no whole stack stays alive.
-    rho, vals, frame, a, b = (np.array(arr[row]) for arr in decoded)
-    return _density_value(rho, vals, frame), _hermitian_value(a), _hermitian_value(b)
+    return _Instances(rho, vals, frame, a, b)
 
 
 def _decode(
     theta: np.ndarray, n: int
 ) -> tuple[DensityMatrix, HermitianMatrix, HermitianMatrix]:
     # One parameter vector: row 0 of a one-row stack.
-    return _instance(_decode_batch(theta[None], n), 0)
+    return _decode_batch(theta[None], n).row(0)
 
 
 def _hermitian_blocks(thetas: np.ndarray, n: int) -> np.ndarray:

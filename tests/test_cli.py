@@ -43,6 +43,11 @@ VERIFY_BATCH_EDGES_CSV_SHA256 = (
 VERIFY_VIOLATION_JSON_SHA256 = (
     "e7d45bca885c79ee8b8327ab7da7a07461868047f05e5688b515c3665b8eb0ad"
 )
+# The violation_<index>.json document the same run writes for its one
+# violated trial.
+VERIFY_VIOLATION_DOCUMENT_SHA256 = (
+    "718b8855413033d7f5351ed839c8a754195e26f7b03159cf5baa7d3397922e61"
+)
 SWEEP_JSON_SHA256 = "3424150cd3903dd83462ebf667205290ce72d49a98bcc845db72bca06a737f03"
 SWEEP_CSV_SHA256 = "381ef41e7d4ecb289fe7dc83b7d222a22c0823a03c4fc40e91f65147266d7449"
 SEARCH_JSON_SHA256 = "8e11d9cfb486cf0aa84765bc86a1afca78ae14d368dc2f61d2fad2a3d098813e"
@@ -112,6 +117,32 @@ def test_verify_byte_determinism_across_workers(tmp_path):
     assert run_cli("verify", *flags, "--workers", "1", "--out", first) == 0
     assert run_cli("verify", *flags, "--workers", "4", "--out", second) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_verify_plan_holds_at_most_2_pow_32_trials():
+    # Trial streams are derived from one 32-bit word of the trial index.
+    def plan(dims, trials):
+        return cli.TrialPlan(dims, trials, -3.0, 3.0, "mixed", 0, 1e-9, "csv")
+
+    assert plan((2,), 2**32).problems() == []
+    assert plan((2, 3), 2**31).problems() == []
+    refusal = ["dims times trials must not exceed 2**32"]
+    assert plan((2,), 2**32 + 1).problems() == refusal
+    assert plan((2, 3), 2**31 + 1).problems() == refusal
+
+
+def test_verify_refuses_a_plan_past_2_pow_32_trials(tmp_path, monkeypatch, capsys):
+    # Refused before the output is opened, so nothing is written.  Should
+    # the plan pass, the patched stream fails at once instead of running it.
+    def refuse(path):
+        raise AssertionError("opened the output of an over-long plan")
+
+    monkeypatch.setattr(cli, "_out_stream", refuse)
+    out = tmp_path / "run.csv"
+    plan = cli.TrialPlan((1,), 2**32 + 1, -3.0, 3.0, "mixed", 0, 1e-9, "csv")
+    assert cli.cmd_verify(plan, out=out) == 2
+    assert "invalid plan: dims times trials" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_rejects_zero_workers(tmp_path, capsys):
@@ -238,9 +269,25 @@ def test_sweep_rejects_bad_steps(pauli_file, capsys):
     capsys.readouterr()
 
 
-def test_search_rejects_dimension_one(capsys):
-    assert run_cli("search", "--n", "1") == 2
-    capsys.readouterr()
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--n", "1"),
+        ("--budget", "0"),
+        ("--q", "inf"),
+        ("--q", "nan"),
+        ("--seed", "-1"),
+        ("--seed", str(2**64)),
+    ],
+    ids=["n1", "budget0", "q-inf", "q-nan", "seed-neg", "seed-2pow64"],
+)
+def test_search_rejects_invalid_arguments(tmp_path, capsys, flags):
+    # maximize_tightness and SeededRng refuse these before any output.
+    out = tmp_path / "found.json"
+    assert run_cli("search", "--budget", "10", *flags, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_search_exits_1_on_a_violation(tmp_path, monkeypatch, capsys):
@@ -508,6 +555,13 @@ def test_verify_csv_golden_digest_two_word_seed(tmp_path):
 
 
 def test_verify_json_golden_digest_with_a_violation(tmp_path, monkeypatch, capsys):
+    # The violated trial's record and document come from its batch row:
+    # a second draw or evaluation through the reference path fails here.
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify drew or evaluated a trial twice")
+
+    for name in ("random_density", "random_hermitian", "bound_report"):
+        monkeypatch.setattr(cli, name, refuse)
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "golden.ndjson"
     assert run_cli("verify", "--dims", "1,2,3,5", "--trials", "40", "--seed", "9",
@@ -515,6 +569,9 @@ def test_verify_json_golden_digest_with_a_violation(tmp_path, monkeypatch, capsy
     capsys.readouterr()
     assert '"violation": true' in out.read_text()
     assert sha256_of(out) == VERIFY_VIOLATION_JSON_SHA256
+    (document,) = tmp_path.glob("violation_*.json")
+    assert document.name == "violation_65.json"
+    assert sha256_of(document) == VERIFY_VIOLATION_DOCUMENT_SHA256
 
 
 def test_verify_csv_golden_digest_across_batch_edges(tmp_path):

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcbounds as qc
+from qcbounds import search
 from qcbounds.errors import (
     BudgetZero,
     DegenerateCoefficient,
     DomainError,
     InvalidDimension,
+    NonFinite,
 )
 
 from conftest import random_instance
@@ -67,6 +69,15 @@ def test_search_argument_validation():
         qc.maximize_tightness(1, 1.0, 10, qc.SeededRng(0))
     with pytest.raises(BudgetZero):
         qc.maximize_tightness(2, 1.0, 0, qc.SeededRng(0))
+
+
+def test_search_rejects_non_finite_q_before_decoding(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("decoded a simplex for a non-finite q")
+
+    monkeypatch.setattr(search, "_decode_batch", refuse)
+    with pytest.raises(NonFinite):
+        qc.maximize_tightness(2, math.inf, 10, qc.SeededRng(0))
 
 
 def test_search_single_evaluation():

@@ -143,7 +143,7 @@ def test_decode_equals_loop_decoder(case):
                 == loop_hermitian_from_reals(coords, n).tobytes()
             )
         expected = loop_decode(theta, n)
-        for got in (search._instance(decoded, row), search._decode(theta, n)):
+        for got in (decoded.row(row), search._decode(theta, n)):
             for value, want in zip(got, expected, strict=True):
                 assert parts(value) == parts(want)
 
