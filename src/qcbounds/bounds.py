@@ -30,8 +30,6 @@ import math
 from collections.abc import Iterator
 from typing import NamedTuple
 
-import numpy as np
-
 # Nothing here calls q_trace_term: the name stays bound for the traced
 # benchmark runs, which hook ``bounds.q_trace_term`` (perfbench/spans.py).
 from .algebra import QRegime, classify_q, q_trace_term  # noqa: F401
