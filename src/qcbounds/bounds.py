@@ -20,8 +20,12 @@ Values past the float range raise ``NonFinite``, never a bare
 The pass is one kernel, ``_trace_kernel``, that takes one instance or a
 stack of them.  ``_traces`` runs it on one instance; ``verify`` and
 ``search`` run it once per stack of instances (``hermitian._Instances``)
-through ``_trace_rows``, build each report from its row with the same
-scalar ``_report`` and judge the master inequality with ``_violated``.
+through ``_trace_rows`` and judge the master inequality with
+``_violated``.  On top of the pass sits one scalar layer, ``_reports``:
+it evaluates and checks the fields that read no q (``product`` and
+``robertson``) once per instance, then loops over the q values for the
+rest.  ``sweep_q`` hands it a whole grid; ``bound_report``, ``verify``
+and ``search`` call its one-q case ``_report``.
 """
 
 from __future__ import annotations
@@ -244,18 +248,6 @@ class _Traces(NamedTuple):
             )
         return coefficient * _squared(magnitude)
 
-    def _bounds(self, q: float, aq: float) -> tuple[float, float, float]:
-        # refined, robertson and naive at a finite q with aq = |q|, raising
-        # what refined, robertson and naive raise, in that order.  Where
-        # |q| <= 1 and the coefficient is finite, refined and naive square
-        # the same bracket |F - |q| B|, so it is formed and squared once.
-        if aq <= 1.0:
-            coefficient = _coefficient(aq, self.lambda_min, self.lambda_max)
-            if not math.isinf(coefficient):
-                sq = _squared(_modulus(complex(self.forward - aq * self.backward)))
-                return coefficient * sq, self.robertson(), sq / (1.0 + aq) ** 2
-        return self._refined(q, aq), self.robertson(), self.naive(aq)
-
 
 def _naive(aq: float, first, second) -> float:
     # |first - aq second|^2 / (1 + aq)^2.
@@ -270,6 +262,11 @@ def _modulus(z: complex) -> float:
     try:
         return abs(z)
     except OverflowError:
+        # CPython 3.11's abs leaves errno as it was for a term with a NaN
+        # part, and raises when an earlier overflow left it at ERANGE.
+        # Such a modulus is NaN, as abs gives it with errno clear.
+        if math.isnan(z.real) or math.isnan(z.imag):
+            return math.nan
         raise NonFinite(f"modulus of trace term {z!r} overflows") from None
 
 
@@ -334,41 +331,97 @@ def _row(dim: int, row) -> _Traces:
 def _report(t: _Traces, q: float) -> BoundReport:
     """Return the ``BoundReport`` of the instance read by ``t`` at ``q``.
 
-    The scalar layer of ``bound_report``, ``sweep_q`` and ``verify``.  It
-    classifies q once, which also rejects a non-finite q, and takes the
-    three bounds from one ``_Traces._bounds`` call.  Raises ``NonFinite``
-    when ``product``, ``robertson``, ``naive_q`` or ``refined`` (checked in
-    that order) is not a finite float.
+    The one-q case of ``_reports``, which ``bound_report``, ``verify`` and
+    ``search`` evaluate once per instance.
     """
-    q = float(q)
-    regime = classify_q(q)
+    return _reports(t, (q,))[0]
+
+
+def _reports(t: _Traces, qs) -> list[BoundReport]:
+    """Return the ``BoundReport`` of the instance read by ``t`` at each q.
+
+    The scalar layer of ``bound_report``, ``sweep_q``, ``verify`` and
+    ``search``.  ``product`` and ``robertson`` read no q, so they are
+    evaluated and checked once per call.  Each q is then classified, which
+    also rejects a non-finite q, and gives ``refined`` and ``naive_q``.  At
+    each q the errors come in one order, as if every field were evaluated
+    afresh: what ``refined``, ``robertson`` and ``naive_q`` raise, in that
+    order, then ``NonFinite`` when ``product``, ``robertson``, ``naive_q``
+    or ``refined`` (checked in that order) is not a finite float.  So a
+    q-free error found once is raised at the first q whose ``refined``
+    does not raise first.
+    """
     product = t.var_a * t.var_b
-    refined, robertson, naive_q = t._bounds(q, abs(q))
+    try:
+        robertson = t.robertson()
+        fault = None
+    except NonFinite as exc:
+        robertson, fault = math.nan, exc
     # Observables too large for a float give infinite or NaN fields, which
-    # no record may carry; slack and ratio follow from these four.
-    for name, value in (
-        ("product", product),
-        ("robertson", robertson),
-        ("naive_q", naive_q),
-        ("refined", refined),
-    ):
-        if not math.isfinite(value):
-            raise NonFinite(f"{name} is {value!r}, not a finite float")
-    return BoundReport(
-        t.dim,
-        q,
-        regime,
-        t.var_a,
-        t.var_b,
-        product,
-        t.lambda_min,
-        t.lambda_max,
-        robertson,
-        naive_q,
-        refined,
-        product - refined,
-        None if product < RATIO_FLOOR else refined / product,
-    )
+    # no record may carry; slack and ratio follow from the four checked.
+    unfinite = _unfinite("product", product) or _unfinite("robertson", robertson)
+    dim, var_a, var_b = t.dim, t.var_a, t.var_b
+    lambda_min, lambda_max = t.lambda_min, t.lambda_max
+    forward, backward = t.forward, t.backward
+    isinf, isfinite = math.isinf, math.isfinite
+    # BoundReport's own __new__ is Python code; tuple.__new__ builds the
+    # same named tuple, as its _make does.
+    new = tuple.__new__
+    reports = []
+    for q in qs:
+        q = float(q)
+        regime = classify_q(q)
+        aq = abs(q)
+        coefficient = (
+            _coefficient(aq, lambda_min, lambda_max) if aq <= 1.0 else math.inf
+        )
+        if not isinf(coefficient):
+            # |q| <= 1 with a finite coefficient: refined and naive_q square
+            # the same bracket |F - |q| B|, so it is formed and squared once.
+            sq = _squared(_modulus(complex(forward - aq * backward)))
+            refined = coefficient * sq
+            if fault is not None:
+                raise fault
+            naive_q = sq / (1.0 + aq) ** 2
+        else:
+            refined = t._refined(q, aq)
+            if fault is not None:
+                raise fault
+            naive_q = t.naive(aq)
+        if unfinite is not None:
+            raise unfinite
+        if not isfinite(naive_q):
+            raise _unfinite("naive_q", naive_q)
+        if not isfinite(refined):
+            raise _unfinite("refined", refined)
+        reports.append(
+            new(
+                BoundReport,
+                (
+                    dim,
+                    q,
+                    regime,
+                    var_a,
+                    var_b,
+                    product,
+                    lambda_min,
+                    lambda_max,
+                    robertson,
+                    naive_q,
+                    refined,
+                    product - refined,
+                    None if product < RATIO_FLOOR else refined / product,
+                ),
+            )
+        )
+    return reports
+
+
+def _unfinite(name: str, value: float) -> NonFinite | None:
+    # The error of a record field that is not a finite float, else None.
+    if math.isfinite(value):
+        return None
+    return NonFinite(f"{name} is {value!r}, not a finite float")
 
 
 def _violated(report: BoundReport, rtol: float) -> bool:

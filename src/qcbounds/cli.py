@@ -8,7 +8,8 @@ Three subcommands share one record schema:
 * ``search`` hunts for near-equality instances and prints the best one
   in the instance-file format, so it can be fed straight back to sweep.
 
-Exit codes: 0 success, 1 verified violations, 2 invalid input.
+Exit codes: 0 success, 1 verified violations, 2 invalid input, including
+an unreadable instance file and a run that does not fit in memory.
 """
 
 from __future__ import annotations
@@ -138,6 +139,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         # search aborts on the first violation it finds; that is exit 1.
         return 1 if isinstance(exc, MasterInequalityViolation) else 2
+    except MemoryError as exc:
+        # A dimension too large for memory is invalid input, not a
+        # verified violation.
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 def cmd_verify(plan: TrialPlan, out=None) -> int:
@@ -173,8 +179,11 @@ def cmd_verify(plan: TrialPlan, out=None) -> int:
             for dim, first, last in _batches(plan, start, stop):
                 batch = streams[first - start : last - start]
                 for outcome in _run_batch(plan, dim, first, batch):
-                    _emit_record(
-                        stream, plan.output_format, outcome.report, outcome.replay
+                    _emit_records(
+                        stream,
+                        plan.output_format,
+                        (outcome.report,),
+                        replay=outcome.replay,
                     )
                     if outcome.replay is not None:
                         violations.append(outcome)
@@ -198,10 +207,12 @@ def cmd_sweep(
     """Evaluate a stored instance on a uniform q grid, endpoints included.
 
     Every report of the grid comes from one evaluation pass over the
-    instance, so the six instance columns of the records are formatted
-    once, from the first report, and each record formats only its q
-    columns.  All reports are computed before the first byte is written,
-    so an instance the bounds refuse leaves no partial output.
+    instance, whose q-free fields ``sweep_q`` evaluates and checks once.
+    So the six instance columns of the records are formatted once, from
+    the first report, and one loop of ``_emit_records`` writes every
+    record, each formatting only its q columns.  All reports are computed
+    before the first byte is written, so an instance the bounds refuse
+    leaves no partial output.
     """
     if steps < 1:
         print("invalid sweep: steps must be >= 1", file=sys.stderr)
@@ -221,8 +232,7 @@ def cmd_sweep(
     cells = _instance_cells(output_format, reports[0])
     with _out_stream(out) as stream:
         _emit_header(stream, output_format)
-        for report in reports:
-            _emit_record(stream, output_format, report, None, cells)
+        _emit_records(stream, output_format, reports, cells)
     return 0
 
 
@@ -335,59 +345,61 @@ def _instance_cells(output_format: str, report: BoundReport) -> str:
     These columns (``lambda_min`` through ``robertson``) read only the
     instance, so every record of one ``sweep`` shares them.  CSV gives the
     cells joined by ``,``; JSON gives the ``"name": value`` members joined
-    by ``", "``.  Each float is written as ``repr(float(x))``.
+    by ``", "``.  Each float is written as its ``repr``.
     """
     var_a, var_b, product, lambda_min, lambda_max, robertson = report[3:9]
     if output_format == "csv":
         return (
-            f"{float(lambda_min)!r},{float(lambda_max)!r},{float(var_a)!r},"
-            f"{float(var_b)!r},{float(product)!r},{float(robertson)!r}"
+            f"{lambda_min!r},{lambda_max!r},{var_a!r},"
+            f"{var_b!r},{product!r},{robertson!r}"
         )
     return (
-        f'"lambda_min": {float(lambda_min)!r}, '
-        f'"lambda_max": {float(lambda_max)!r}, '
-        f'"var_a": {float(var_a)!r}, "var_b": {float(var_b)!r}, '
-        f'"product": {float(product)!r}, "robertson": {float(robertson)!r}'
+        f'"lambda_min": {lambda_min!r}, "lambda_max": {lambda_max!r}, '
+        f'"var_a": {var_a!r}, "var_b": {var_b!r}, '
+        f'"product": {product!r}, "robertson": {robertson!r}'
     )
 
 
-def _emit_record(
-    stream, output_format: str, report: BoundReport, replay, cells=None
+def _emit_records(
+    stream, output_format: str, reports, cells=None, replay=None
 ) -> None:
-    """Write ``report`` as one record, formatted in one pass.
+    """Write each of ``reports`` as one record, in order.
 
-    ``cells`` is the ``_instance_cells`` text of the report's instance;
-    ``sweep`` formats it once for all its records, and when it is None it
-    is formatted from ``report``.  Floats are written as ``repr(float(x))``,
-    ``dim`` as an int and the regime by its value, read as the member's
-    ``_value_`` rather than through the slower ``value`` property.  CSV
-    leaves the cell of a missing ratio empty.  JSON writes the layout of
-    ``json.dumps`` with its default separators: keys in ``CSV_COLUMNS``
-    order, ``null`` for a missing ratio, and for a violated trial
-    (``replay`` not None) the members ``"violation": true`` and
+    ``cells`` is the ``_instance_cells`` text shared by all of ``reports``;
+    ``sweep`` formats it once for its whole grid, and when it is None each
+    record formats its own.  Every float field of a report is a Python
+    float, written as its ``repr``; ``dim`` is written as an int and the
+    regime by its value, read as the member's ``_value_`` rather than
+    through the slower ``value`` property.  CSV leaves the cell of a
+    missing ratio empty.  JSON writes the layout of ``json.dumps`` with its
+    default separators: keys in ``CSV_COLUMNS`` order, ``null`` for a
+    missing ratio, and for a violated trial (``replay`` not None, passed
+    with that trial's report alone) the members ``"violation": true`` and
     ``"instance"`` at the end.  Every float of a report is finite, since
     ``bound_report`` refuses others, so its repr is also its JSON text.
     """
-    dim, q, regime, _, _, _, _, _, _, naive_q, refined, slack, ratio = report
-    if cells is None:
-        cells = _instance_cells(output_format, report)
-    if output_format == "csv":
-        ratio = "" if ratio is None else repr(float(ratio))
-        stream.write(
-            f"{dim},{float(q)!r},{regime._value_},{cells},"
-            f"{float(naive_q)!r},{float(refined)!r},{float(slack)!r},{ratio}\n"
-        )
-        return
-    ratio = "null" if ratio is None else repr(float(ratio))
+    csv = output_format == "csv"
     violation = ""
     if replay is not None:
         instance = {k: replay[k] for k in ("dim", "rho", "a", "b")}
         violation = f', "violation": true, "instance": {json.dumps(instance)}'
-    stream.write(
-        f'{{"dim": {dim}, "q": {float(q)!r}, "regime": "{regime._value_}", '
-        f'{cells}, "naive_q": {float(naive_q)!r}, "refined": {float(refined)!r}, '
-        f'"slack": {float(slack)!r}, "ratio": {ratio}{violation}}}\n'
-    )
+    write = stream.write
+    for report in reports:
+        dim, q, regime, _, _, _, _, _, _, naive_q, refined, slack, ratio = report
+        shared = cells if cells is not None else _instance_cells(output_format, report)
+        if csv:
+            ratio = "" if ratio is None else repr(ratio)
+            write(
+                f"{dim},{q!r},{regime._value_},{shared},"
+                f"{naive_q!r},{refined!r},{slack!r},{ratio}\n"
+            )
+        else:
+            ratio = "null" if ratio is None else repr(ratio)
+            write(
+                f'{{"dim": {dim}, "q": {q!r}, "regime": "{regime._value_}", '
+                f'{shared}, "naive_q": {naive_q!r}, "refined": {refined!r}, '
+                f'"slack": {slack!r}, "ratio": {ratio}{violation}}}\n'
+            )
 
 
 @contextlib.contextmanager

@@ -74,13 +74,21 @@ def save_instance(
 
 
 def load_instance(path) -> tuple[DensityMatrix, HermitianMatrix, HermitianMatrix]:
-    """Read and validate an instance document from ``path``."""
+    """Read and validate an instance document from ``path``.
+
+    A file that cannot be read, is not UTF-8 text or is not JSON, nested
+    too deeply for the decoder included, raises ``InstanceFormatError``.
+    """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise InstanceFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InstanceFormatError(f"not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise InstanceFormatError("not valid JSON: nested too deeply") from None
     return payload_to_instance(payload)
 
 

@@ -26,6 +26,7 @@ from .bounds import (
     _BATCH_ENTRIES,
     BoundReport,
     _report,
+    _reports,
     _trace_rows,
     _traces,
     _violated,
@@ -86,12 +87,16 @@ def sweep_q(
     b: HermitianMatrix,
     q_grid,
 ) -> list[BoundReport]:
-    """Evaluate one instance across a grid of q values, order preserved."""
+    """Evaluate one instance across a grid of q values, order preserved.
+
+    One pass reads the instance, and its q-free fields are evaluated and
+    checked once; each q is then O(1).  Raises what ``bound_report`` raises
+    at the first grid point where it raises.
+    """
     grid = [float(q) for q in q_grid]
     if not grid:
         raise DomainError("q grid must not be empty")
-    traces = _traces(state, a, b)  # one pass; each q is then O(1)
-    return [_report(traces, q) for q in grid]
+    return _reports(_traces(state, a, b), grid)
 
 
 def maximize_tightness(

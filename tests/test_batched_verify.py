@@ -46,7 +46,7 @@ def as_bytes(value):
 
 def csv_line(report):
     out = io.StringIO()
-    cli._emit_record(out, "csv", report, None)
+    cli._emit_records(out, "csv", [report])
     return out.getvalue()
 
 

@@ -264,6 +264,44 @@ def test_sweep_exits_2_on_a_cell_past_the_float_range(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{\x00}\x00", b"[" * 100000],
+    ids=["utf16-bom", "nested-100000"],
+)
+def test_sweep_exits_2_on_an_unreadable_instance_file(tmp_path, capsys, content):
+    # Bytes that are not UTF-8, and JSON nested past the decoder's
+    # recursion limit, used to end in a traceback and exit 1.
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", bad, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, target",
+    [
+        (("verify", "--dims", "2", "--trials", "3"), "_draw_batch"),
+        (("search", "--n", "2", "--budget", "10"), "maximize_tightness"),
+    ],
+    ids=["verify", "search"],
+)
+def test_running_out_of_memory_exits_2(tmp_path, monkeypatch, capsys, command, target):
+    # A dimension too large for memory, e.g. verify --dims 100000, whose
+    # first batch asks np.empty for 480 GB, raises MemoryError.  Patched
+    # here, so nothing large is allocated.
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 480. GiB")
+
+    monkeypatch.setattr(cli, target, exhausted)
+    assert run_cli(*command, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 480. GiB\n"
+
+
 def test_sweep_rejects_bad_steps(pauli_file, capsys):
     assert run_cli("sweep", pauli_file, "--steps", "0") == 2
     capsys.readouterr()
@@ -383,7 +421,7 @@ def formatter_reports(mixed_qubit, pauli_x, pauli_y):
 
 def emitted(output_format, report, replay=None):
     out = io.StringIO()
-    cli._emit_record(out, output_format, report, replay)
+    cli._emit_records(out, output_format, [report], replay=replay)
     return out.getvalue()
 
 

@@ -88,6 +88,20 @@ def test_integer_cell_past_the_float_range_rejected(tmp_path):
         qc.load_instance(path)
 
 
+def test_undecodable_files_rejected(tmp_path):
+    # A UTF-16 byte order mark is not UTF-8 (UnicodeDecodeError), and
+    # 100000 open brackets exceed the JSON decoder's recursion limit
+    # (RecursionError); both used to escape load_instance.
+    path = tmp_path / "bad.json"
+    for content, message in (
+        (b"\xff\xfe{\x00}\x00", "not UTF-8 text"),
+        (b"[" * 100000, "nested too deeply"),
+    ):
+        path.write_bytes(content)
+        with pytest.raises(InstanceFormatError, match=message):
+            qc.load_instance(path)
+
+
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(InstanceFormatError):
         qc.load_instance(tmp_path / "nope.json")
