@@ -9,18 +9,17 @@ instances where the refined bound becomes an equality.
 """
 
 from . import errors
-from .algebra import (
-    QRegime,
-    classify_q,
-    q_trace_term,
-)
 from .bounds import (
     BoundReport,
+    QRegime,
     bound_report,
+    classify_q,
     naive_q_bound,
+    q_trace_term,
     refined_coefficient,
     refined_q_bound,
     robertson_bound,
+    sweep_q,
 )
 from .generators import SeededRng, maximally_mixed, random_density, random_hermitian
 from .hermitian import (
@@ -38,7 +37,7 @@ from .instances import (
     payload_to_instance,
     save_instance,
 )
-from .search import SearchResult, maximize_tightness, sweep_q
+from .search import SearchResult, maximize_tightness
 
 __version__ = "0.1.0"
 

@@ -1,6 +1,9 @@
-"""Variance-product lower bounds weighted by the state's spectrum.
+"""The q-deformed bracket and the variance-product bounds built on it.
 
-For observables A, B in state rho, the classical bound is Robertson's
+The deformed bracket ``[A,B]_q = AB - qBA`` interpolates between the
+operator product (q=0), the commutator (q=1) and the anti-commutator
+(q=-1); ``classify_q`` labels the regime of q each record carries.  For
+observables A, B in state rho, the classical bound is Robertson's
 quarter-squared commutator trace.  Its q-deformed generalisation carries
 the prefactor 1/(1+|q|)^2, and the refinement implemented here sharpens
 that prefactor using the extreme eigenvalues of rho:
@@ -21,23 +24,25 @@ The pass is one kernel, ``_trace_kernel``, that takes one instance or a
 stack of them.  ``_traces`` runs it on one instance; ``verify`` and
 ``search`` run it once per stack of instances (``hermitian._Instances``)
 through ``_trace_rows`` and judge the master inequality with
-``_violated``.  On top of the pass sits one scalar layer, ``_reports``:
-it evaluates and checks the fields that read no q (``product`` and
+``_violated``.  Each field has one per-q path on top of the pass:
+``_robertson``, ``_naive`` and ``_refined``, which the one-bound public
+functions call and which one scalar layer, ``_reports``, combines.  It
+evaluates and checks the fields that read no q (``product`` and
 ``robertson``) once per instance, then loops over the q values for the
 rest.  ``sweep_q`` hands it a whole grid; ``bound_report``, ``verify``
-and ``search`` call its one-q case ``_report``.
+and ``search`` call its one-q case ``_report``.  ``q_trace_term`` forms
+one bracket trace from centred observables, through the same trace
+routine as the kernel.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from collections.abc import Iterator
 from typing import NamedTuple
 
-# Nothing here calls q_trace_term: the name stays bound for the traced
-# benchmark runs, which hook ``bounds.q_trace_term`` (perfbench/spans.py).
-from .algebra import QRegime, classify_q, q_trace_term  # noqa: F401
-from .errors import DegenerateCoefficient, InvalidSpectrum, NonFinite
+from .errors import DegenerateCoefficient, DomainError, InvalidSpectrum, NonFinite
 from .hermitian import (
     DensityMatrix,
     HermitianMatrix,
@@ -59,6 +64,55 @@ RATIO_FLOOR = 1e-14
 _BATCH_ENTRIES = 4096
 
 
+class QRegime(enum.Enum):
+    """Intervals of the deformation parameter, the regime label of each record."""
+
+    POSITIVE_LEQ_ONE = "PositiveLeqOne"
+    POSITIVE_GT_ONE = "PositiveGtOne"
+    ZERO = "Zero"
+    NEGATIVE_GEQ_MINUS_ONE = "NegativeGeqMinusOne"
+    LT_MINUS_ONE = "LtMinusOne"
+
+
+def classify_q(q: float) -> QRegime:
+    """Classify a finite deformation parameter into its regime.
+
+    The boundary values q = 1 and q = -1 belong to the inner regimes
+    (``POSITIVE_LEQ_ONE`` and ``NEGATIVE_GEQ_MINUS_ONE``) because the
+    unit-interval form of the bound covers them.
+    """
+    q = float(q)
+    if not math.isfinite(q):
+        raise NonFinite(f"q must be finite, got {q!r}")
+    if q == 0.0:
+        return QRegime.ZERO
+    if 0.0 < q <= 1.0:
+        return QRegime.POSITIVE_LEQ_ONE
+    if q > 1.0:
+        return QRegime.POSITIVE_GT_ONE
+    if -1.0 <= q < 0.0:
+        return QRegime.NEGATIVE_GEQ_MINUS_ONE
+    return QRegime.LT_MINUS_ONE
+
+
+def q_trace_term(
+    state: DensityMatrix, a0: HermitianMatrix, b0: HermitianMatrix, q: float
+) -> complex:
+    """Return Tr[rho (A0 B0 - q B0 A0)] by direct matrix products.
+
+    Callers pass observables already centred against ``state``; the value
+    is what the bound coefficients multiply, bit for bit, since the
+    evaluation pass forms its traces through the same routine.  An
+    eigenbasis-sum evaluation of the same number exists in the test suite
+    as an independent oracle.
+    """
+    _check_same_dim(state, a0)
+    _check_same_dim(state, b0)
+    forward = _trace3(state.mat, a0.mat, b0.mat)
+    backward = _trace3(state.mat, b0.mat, a0.mat)
+    return complex(forward - q * backward)
+
+
 def robertson_bound(
     state: DensityMatrix, a: HermitianMatrix, b: HermitianMatrix
 ) -> float:
@@ -67,7 +121,7 @@ def robertson_bound(
     Centring drops out of a commutator trace, so the raw observables are
     used directly.
     """
-    return _traces(state, a, b).robertson()
+    return _robertson(_traces(state, a, b))
 
 
 def naive_q_bound(
@@ -75,7 +129,7 @@ def naive_q_bound(
 ) -> float:
     """Return the unrefined deformed bound |Tr[rho [A0,B0]_|q|]|^2 / (1+|q|)^2."""
     classify_q(q)  # rejects non-finite q
-    return _traces(state, a, b).naive(abs(float(q)))
+    return _naive(_traces(state, a, b), abs(float(q)))
 
 
 def refined_coefficient(q: float, lambda_min: float, lambda_max: float) -> float:
@@ -154,7 +208,10 @@ def refined_q_bound(
     bound is evaluated as the equal
     ``refined_coefficient(1/|q|) |Tr[rho [A0,B0]_(1/|q|)]|^2``.
     """
-    return _traces(state, a, b).refined(float(q))
+    t = _traces(state, a, b)
+    q = float(q)
+    classify_q(q)  # rejects non-finite q
+    return _refined(t, q, abs(q))[0]
 
 
 class BoundReport(NamedTuple):
@@ -194,65 +251,90 @@ def bound_report(
     return _report(_traces(state, a, b), q)
 
 
+def sweep_q(
+    state: DensityMatrix, a: HermitianMatrix, b: HermitianMatrix, q_grid
+) -> list[BoundReport]:
+    """Evaluate one instance across a grid of q values, order preserved.
+
+    One pass reads the instance, and its q-free fields are evaluated and
+    checked once; each q is then O(1).  Raises what ``bound_report`` raises
+    at the first grid point where it raises.
+    """
+    grid = [float(q) for q in q_grid]
+    if not grid:
+        raise DomainError("q grid must not be empty")
+    return _reports(_traces(state, a, b), grid)
+
+
 class _Traces(NamedTuple):
     """One evaluation pass over an instance, which every bound reads."""
 
     dim: int
     var_a: float
     var_b: float
-    # NumPy scalars, so each bracket rounds exactly as in q_trace_term.
+    # NumPy scalars, so a bracket F - q B rounds exactly as q_trace_term
+    # of the centred observables at q.
     forward: complex  # Tr[rho A0 B0] of the centred observables
     backward: complex  # Tr[rho B0 A0]
     commutator: complex  # Tr[rho [A,B]] of the raw observables
     lambda_min: float
     lambda_max: float
 
-    def robertson(self) -> float:
-        return 0.25 * _squared(_modulus(self.commutator))
 
-    def naive(self, aq: float) -> float:
-        if aq > 1.0:
-            try:
-                return _naive(aq, self.forward, self.backward)
-            except (OverflowError, NonFinite):
-                # A huge |q| overflows the direct form.  With p = 1/|q|,
-                # |F - |q| B|^2 / (1 + |q|)^2 = |B - p F|^2 / (1 + p)^2.
-                return _naive(1.0 / aq, self.backward, self.forward)
-        return _naive(aq, self.forward, self.backward)
-
-    def refined(self, q: float) -> float:
-        classify_q(q)  # rejects non-finite q
-        return self._refined(q, abs(q))
-
-    def _refined(self, q: float, aq: float) -> float:
-        # refined at a finite q with aq = |q|.
-        if aq > 1.0:
-            try:
-                return self._weighted(aq, self.backward, self.forward, q)
-            except (OverflowError, NonFinite):
-                # A huge |q| overflows the direct form.  With p = 1/|q|,
-                # C(|q|) |B - |q| F|^2 = C(p) |F - p B|^2.
-                return self._weighted(1.0 / aq, self.forward, self.backward, q)
-        return self._weighted(aq, self.forward, self.backward, q)
-
-    def _weighted(self, aq: float, first, second, q: float) -> float:
-        # C(aq) |first - aq second|^2.  The coefficient comes first, so a
-        # |q| that overflows it never forms the bracket.
-        coefficient = _coefficient(aq, self.lambda_min, self.lambda_max)
-        magnitude = _modulus(complex(first - aq * second))
-        if math.isinf(coefficient):
-            if magnitude < DEGENERATE_TERM:
-                return 0.0
-            raise DegenerateCoefficient(
-                f"infinite coefficient with trace term {magnitude!r} at q={q!r}"
-            )
-        return coefficient * _squared(magnitude)
+def _robertson(t: _Traces) -> float:
+    # robertson of the instance read by t.
+    return 0.25 * _squared(_modulus(t.commutator))
 
 
-def _naive(aq: float, first, second) -> float:
+def _naive(t: _Traces, aq: float, square: float | None = None) -> float:
+    # naive_q at aq = |q|.  ``square`` is |F - aq B|^2 when the caller
+    # has it already, as _refined returns it for aq <= 1.
+    if square is not None:
+        return square / (1.0 + aq) ** 2
+    if aq > 1.0:
+        try:
+            return _naive_form(aq, t.forward, t.backward)
+        except (OverflowError, NonFinite):
+            # A huge |q| overflows the direct form.  With p = 1/|q|,
+            # |F - |q| B|^2 / (1 + |q|)^2 = |B - p F|^2 / (1 + p)^2.
+            return _naive_form(1.0 / aq, t.backward, t.forward)
+    return _naive_form(aq, t.forward, t.backward)
+
+
+def _naive_form(aq: float, first, second) -> float:
     # |first - aq second|^2 / (1 + aq)^2.
     denominator = (1.0 + aq) ** 2
     return _squared(_modulus(complex(first - aq * second))) / denominator
+
+
+def _refined(t: _Traces, q: float, aq: float) -> tuple[float, float | None]:
+    # refined at a finite q with aq = |q|, and for aq <= 1 the square
+    # |F - aq B|^2 it weights, which naive_q shares; None for aq > 1.
+    if aq > 1.0:
+        try:
+            return _weighted(t, aq, t.backward, t.forward, q)[0], None
+        except (OverflowError, NonFinite):
+            # A huge |q| overflows the direct form.  With p = 1/|q|,
+            # C(|q|) |B - |q| F|^2 = C(p) |F - p B|^2.
+            return _weighted(t, 1.0 / aq, t.forward, t.backward, q)[0], None
+    return _weighted(t, aq, t.forward, t.backward, q)
+
+
+def _weighted(t: _Traces, aq: float, first, second, q: float) -> tuple[float, float]:
+    # C(aq) |first - aq second|^2 and the square |first - aq second|^2.
+    # The coefficient comes first, so a |q| that overflows it never forms
+    # the bracket.  An infinite coefficient is tested before the square is
+    # formed, so a large term raises DegenerateCoefficient, not NonFinite.
+    coefficient = _coefficient(aq, t.lambda_min, t.lambda_max)
+    magnitude = _modulus(complex(first - aq * second))
+    if math.isinf(coefficient):
+        if magnitude < DEGENERATE_TERM:
+            return 0.0, _squared(magnitude)
+        raise DegenerateCoefficient(
+            f"infinite coefficient with trace term {magnitude!r} at q={q!r}"
+        )
+    square = _squared(magnitude)
+    return coefficient * square, square
 
 
 def _modulus(z: complex) -> float:
@@ -353,7 +435,7 @@ def _reports(t: _Traces, qs) -> list[BoundReport]:
     """
     product = t.var_a * t.var_b
     try:
-        robertson = t.robertson()
+        robertson = _robertson(t)
         fault = None
     except NonFinite as exc:
         robertson, fault = math.nan, exc
@@ -362,8 +444,7 @@ def _reports(t: _Traces, qs) -> list[BoundReport]:
     unfinite = _unfinite("product", product) or _unfinite("robertson", robertson)
     dim, var_a, var_b = t.dim, t.var_a, t.var_b
     lambda_min, lambda_max = t.lambda_min, t.lambda_max
-    forward, backward = t.forward, t.backward
-    isinf, isfinite = math.isinf, math.isfinite
+    isfinite = math.isfinite
     # BoundReport's own __new__ is Python code; tuple.__new__ builds the
     # same named tuple, as its _make does.
     new = tuple.__new__
@@ -372,22 +453,10 @@ def _reports(t: _Traces, qs) -> list[BoundReport]:
         q = float(q)
         regime = classify_q(q)
         aq = abs(q)
-        coefficient = (
-            _coefficient(aq, lambda_min, lambda_max) if aq <= 1.0 else math.inf
-        )
-        if not isinf(coefficient):
-            # |q| <= 1 with a finite coefficient: refined and naive_q square
-            # the same bracket |F - |q| B|, so it is formed and squared once.
-            sq = _squared(_modulus(complex(forward - aq * backward)))
-            refined = coefficient * sq
-            if fault is not None:
-                raise fault
-            naive_q = sq / (1.0 + aq) ** 2
-        else:
-            refined = t._refined(q, aq)
-            if fault is not None:
-                raise fault
-            naive_q = t.naive(aq)
+        refined, square = _refined(t, q, aq)
+        if fault is not None:
+            raise fault
+        naive_q = _naive(t, aq, square)
         if unfinite is not None:
             raise unfinite
         if not isfinite(naive_q):

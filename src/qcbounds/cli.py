@@ -24,9 +24,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import _BATCH_ENTRIES, BoundReport, _report, _trace_rows, _violated
+from .bounds import (
+    _BATCH_ENTRIES,
+    BoundReport,
+    _report,
+    _trace_rows,
+    _violated,
+    sweep_q,
+)
 from .errors import MasterInequalityViolation, QcboundsError
 from .generators import (
+    _UINT64_BOUND,
     SeededRng,
     _complex_matrix,
     _derived_streams,
@@ -37,7 +45,7 @@ from .generators import (
 )
 from .hermitian import _density_arrays, _Instances, _symmetrised
 from .instances import instance_payload, load_instance, render_document
-from .search import maximize_tightness, sweep_q
+from .search import maximize_tightness
 
 # Nothing here calls these three: the names stay bound for the traced
 # benchmark runs, which hook ``cli.bound_report``, ``cli.random_density``
@@ -64,7 +72,6 @@ CSV_COLUMNS = (
 # regime edges are always exercised.
 BOUNDARY_Q = (-1.0, 0.0, 1.0)
 BOUNDARY_PERIOD = 16
-_UINT64_BOUND = 2**64
 # Trial ``index`` draws from ``SeededRng(seed, index).split(k)``: q for
 # k = 0, the rank for k = 1, the state for k = 2, A and B for k = 3 and 4.
 # The streams of this many consecutive trials are derived in one pass.
@@ -134,7 +141,10 @@ class _Draws(NamedTuple):
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        # Explicit checks report every non-finite value as one error line;
+        # NumPy's floating-point warnings would add lines to stderr.
+        with np.errstate(all="ignore"):
+            return args.handler(args)
     except (QcboundsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         # search aborts on the first violation it finds; that is exit 1.

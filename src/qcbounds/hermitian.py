@@ -58,10 +58,14 @@ FRAME_ATOL = 1e-9
 
 
 def _as_square_complex(raw, name: str) -> np.ndarray:
+    # ``raw`` as a finite square complex array, Hermitian within
+    # ``HERMITICITY_RTOL``; the checks every validating constructor runs.
     arr = np.asarray(raw, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise DimensionMismatch(f"{name} must be a square matrix, got shape {arr.shape}")
     _check_finite(arr, name)
+    if _hermiticity_defect(arr) > HERMITICITY_RTOL:
+        raise NotHermitian(f"{name} is not Hermitian within tolerance")
     return arr
 
 
@@ -93,8 +97,6 @@ class HermitianMatrix:
 
     def __post_init__(self) -> None:
         arr = _as_square_complex(self.mat, "matrix")
-        if _hermiticity_defect(arr) > HERMITICITY_RTOL:
-            raise NotHermitian("matrix is not Hermitian within tolerance")
         object.__setattr__(self, "mat", _frozen(arr))
 
     @property
@@ -117,8 +119,6 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         mat = _as_square_complex(self.mat, "density matrix")
-        if _hermiticity_defect(mat) > HERMITICITY_RTOL:
-            raise NotHermitian("density matrix is not Hermitian within tolerance")
         n = mat.shape[0]
 
         vals = np.asarray(self.eigenvalues, dtype=float)
@@ -178,8 +178,6 @@ def make_hermitian(raw) -> HermitianMatrix:
         Wrapper around ``(raw + raw†) / 2``.
     """
     arr = _as_square_complex(raw, "matrix")
-    if _hermiticity_defect(arr) > HERMITICITY_RTOL:
-        raise NotHermitian("matrix is not Hermitian within tolerance")
     sym = _symmetrised(arr)
     # Entries near the float maximum can overflow in the symmetrisation.
     _check_finite(sym, "matrix")
@@ -196,8 +194,6 @@ def make_density(raw) -> DensityMatrix:
     stored matrix and decomposition agree to rounding.
     """
     arr = _as_square_complex(raw, "density matrix")
-    if _hermiticity_defect(arr) > HERMITICITY_RTOL:
-        raise NotHermitian("density matrix is not Hermitian within tolerance")
     sym = _symmetrised(arr)
     # Finite entries can overflow in the symmetrisation, as in
     # make_hermitian; checked first, so an overflowing diagonal is not

@@ -77,7 +77,8 @@ def load_instance(path) -> tuple[DensityMatrix, HermitianMatrix, HermitianMatrix
     """Read and validate an instance document from ``path``.
 
     A file that cannot be read, is not UTF-8 text or is not JSON, nested
-    too deeply for the decoder included, raises ``InstanceFormatError``.
+    too deeply for the decoder or holding an integer too long to convert
+    included, raises ``InstanceFormatError``.
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -87,6 +88,9 @@ def load_instance(path) -> tuple[DensityMatrix, HermitianMatrix, HermitianMatrix
         raise InstanceFormatError(f"not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        # An integer past the interpreter's digit limit for int("...").
+        raise InstanceFormatError(f"number too long to read: {exc}") from exc
     except RecursionError:
         raise InstanceFormatError("not valid JSON: nested too deeply") from None
     return payload_to_instance(payload)

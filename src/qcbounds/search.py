@@ -11,7 +11,8 @@ for its points, and all of them are decoded into one stack of instances
 (``_decode_batch``, a ``hermitian._Instances``) and evaluated through
 ``bounds._trace_rows``, ``_report`` and ``_violated``, as ``verify``
 evaluates its batches.  The result is the one the restarts would give
-run one after another.
+run one after another.  The q profile of one instance, ``sweep_q``,
+lives in ``bounds`` beside the scalar layer it runs.
 """
 
 from __future__ import annotations
@@ -21,15 +22,13 @@ from functools import cache
 
 import numpy as np
 
-from .algebra import classify_q
 from .bounds import (
     _BATCH_ENTRIES,
     BoundReport,
     _report,
-    _reports,
     _trace_rows,
-    _traces,
     _violated,
+    classify_q,
 )
 
 # Nothing here calls bound_report: the name stays bound for the traced
@@ -79,24 +78,6 @@ class SearchResult:
     best_instance: tuple[DensityMatrix, HermitianMatrix, HermitianMatrix, float]
     evaluations: int
     trajectory: tuple[tuple[int, float], ...]
-
-
-def sweep_q(
-    state: DensityMatrix,
-    a: HermitianMatrix,
-    b: HermitianMatrix,
-    q_grid,
-) -> list[BoundReport]:
-    """Evaluate one instance across a grid of q values, order preserved.
-
-    One pass reads the instance, and its q-free fields are evaluated and
-    checked once; each q is then O(1).  Raises what ``bound_report`` raises
-    at the first grid point where it raises.
-    """
-    grid = [float(q) for q in q_grid]
-    if not grid:
-        raise DomainError("q grid must not be empty")
-    return _reports(_traces(state, a, b), grid)
 
 
 def maximize_tightness(

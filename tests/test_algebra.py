@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcbounds as qc
+from qcbounds import bounds
 from qcbounds.errors import NonFinite
 
 from conftest import eigenbasis_sum_term, random_instance
@@ -106,3 +107,22 @@ def test_commutator_trace_is_imaginary(seed, n):
     state, a, b = random_instance(seed, n)
     value = complex(np.einsum("ij,ji->", state.mat, q_bracket(a, b, 1.0)))
     assert abs(value.real) < 1e-12
+
+
+@given(
+    st.integers(0, 2**32),
+    st.integers(2, 6),
+    st.sampled_from([0.0, 1.0, -1.0, 0.5, 3.0]),
+)
+@settings(max_examples=40, deadline=None)
+def test_q_trace_term_equals_the_bracket_of_the_evaluation_pass(seed, n, q):
+    # The bounds form their brackets from the pass's NumPy scalars F and B,
+    # which round exactly as q_trace_term of the centred observables does.
+    state, a, b = random_instance(seed, n)
+    t = bounds._traces(state, a, b)
+    direct = qc.q_trace_term(state, qc.center(state, a), qc.center(state, b), q)
+    bracket = complex(t.forward - q * t.backward)
+    assert (direct.real.hex(), direct.imag.hex()) == (
+        bracket.real.hex(),
+        bracket.imag.hex(),
+    )

@@ -319,9 +319,9 @@ def test_mirrored_forms_equal_direct_forms(seed, n, deficient, aq):
     # |F - |q| B|^2 / (1 + |q|)^2 = |B - p F|^2 / (1 + p)^2.
     t = bounds._traces(*random_instance(seed, n, n - 1 if deficient else n))
     p = 1.0 / aq
-    direct = t._weighted(aq, t.backward, t.forward, aq)
-    mirrored = t._weighted(p, t.forward, t.backward, aq)
+    direct = bounds._weighted(t, aq, t.backward, t.forward, aq)[0]
+    mirrored = bounds._weighted(t, p, t.forward, t.backward, aq)[0]
     assert mirrored == pytest.approx(direct, rel=1e-12, abs=0.0)
-    direct = bounds._naive(aq, t.forward, t.backward)
-    mirrored = bounds._naive(p, t.backward, t.forward)
+    direct = bounds._naive_form(aq, t.forward, t.backward)
+    mirrored = bounds._naive_form(p, t.backward, t.forward)
     assert mirrored == pytest.approx(direct, rel=1e-12, abs=0.0)

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -279,6 +280,88 @@ def test_sweep_exits_2_on_an_unreadable_instance_file(tmp_path, capsys, content)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+# Instance-file fuzzing: one node of a valid document is replaced by raw
+# JSON text.  The literals cover integers past the float range and past the
+# interpreter's 4300-digit limit for int("..."), float extremes, NaN and the
+# infinities, strings, nested lists, and the dim values 0, -1, bools and a
+# 25-digit integer; a list node may also lose its last element or gain one.
+FUZZ_DOCUMENT = qc.instance_payload(*random_instance(5, 2))
+FUZZ_LITERALS = (
+    "1" * 5001, "-" + "9" * 4301, "1" * 400, "1" * 25, "0", "-1", "true", "false",
+    "1.7976931348623157e308", "-1.7976931348623157e308", "1e400", "5e-324",
+    "NaN", "Infinity", "-Infinity", '"x"', "[[1]]", "[]", "{}", "null",
+)  # fmt: skip
+FUZZ_STEPS = 3
+FUZZ_MARK = "@@mutated@@"
+
+
+def fuzz_paths(node, path=()):
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from fuzz_paths(child, (*path, key))
+
+
+FUZZ_PATHS = list(fuzz_paths(FUZZ_DOCUMENT))
+
+
+def fuzz_node(path):
+    node = FUZZ_DOCUMENT
+    for key in path:
+        node = node[key]
+    return node
+
+
+@st.composite
+def instance_mutations(draw):
+    path = draw(st.sampled_from(FUZZ_PATHS))
+    node = fuzz_node(path)
+    raws = FUZZ_LITERALS
+    if isinstance(node, list):
+        raws += (json.dumps(node[:-1]), json.dumps(node + node[:1]))
+    return path, draw(st.sampled_from(raws))
+
+
+def mutated_document(path, raw):
+    if not path:
+        return raw
+    document = json.loads(json.dumps(FUZZ_DOCUMENT))
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = FUZZ_MARK
+    return json.dumps(document).replace(json.dumps(FUZZ_MARK), raw)
+
+
+@given(instance_mutations())
+@example((("a", 0, 0, "re"), "1" * 5001))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_sweep_on_a_mutated_instance_file_exits_0_or_2(mutation):
+    # A 5001-digit integer used to escape as a ValueError traceback, exit 1.
+    # NumPy's floating-point warnings would reach stderr in a real run, so
+    # each counts as a line of it here.
+    with tempfile.TemporaryDirectory() as tmp:
+        instance, out = Path(tmp) / "instance.json", Path(tmp) / "sweep.ndjson"
+        instance.write_text(mutated_document(*mutation), encoding="utf-8")
+        argv = ["sweep", str(instance), "--steps", str(FUZZ_STEPS), "--format", "json"]
+        err = io.StringIO()
+        with (
+            contextlib.redirect_stderr(err),
+            warnings.catch_warnings(record=True) as caught,
+        ):
+            warnings.simplefilter("always")
+            code = main([*argv, "--out", str(out)])
+        lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+        assert code in (0, 2)
+        if code == 2:
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            assert not out.exists()
+        else:
+            assert lines == []
+            records = [json.loads(line) for line in out.read_text().splitlines()]
+            assert [r["q"] for r in records] == list(np.linspace(-1, 1, FUZZ_STEPS))
 
 
 @pytest.mark.parametrize(

@@ -89,13 +89,16 @@ def test_integer_cell_past_the_float_range_rejected(tmp_path):
 
 
 def test_undecodable_files_rejected(tmp_path):
-    # A UTF-16 byte order mark is not UTF-8 (UnicodeDecodeError), and
-    # 100000 open brackets exceed the JSON decoder's recursion limit
-    # (RecursionError); both used to escape load_instance.
+    # A UTF-16 byte order mark is not UTF-8 (UnicodeDecodeError), 100000
+    # open brackets exceed the JSON decoder's recursion limit
+    # (RecursionError), and a 5001-digit integer exceeds the interpreter's
+    # limit for int("...") (ValueError); all three used to escape
+    # load_instance.
     path = tmp_path / "bad.json"
     for content, message in (
         (b"\xff\xfe{\x00}\x00", "not UTF-8 text"),
         (b"[" * 100000, "nested too deeply"),
+        (b'{"dim": ' + b"1" * 5001 + b"}", "number too long"),
     ):
         path.write_bytes(content)
         with pytest.raises(InstanceFormatError, match=message):
