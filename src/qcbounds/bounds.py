@@ -62,6 +62,11 @@ RATIO_FLOOR = 1e-14
 # entries, 64 KiB of complex128.  ``verify`` and ``search`` cut their
 # batches to it: 256 instances at n = 4, four at n = 32.
 _BATCH_ENTRIES = 4096
+# ``verify`` and ``search`` refuse, before allocating, a run whose draw
+# stacks (one batch) or whose simplex and first round would pass this
+# many bytes: ``verify --dims 20000`` would ask for 18 GiB of draws and
+# ``search --n 64`` for two 1.1 GiB copies.
+_MAX_ALLOC_BYTES = 2**30
 
 
 class QRegime(enum.Enum):

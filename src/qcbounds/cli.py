@@ -26,6 +26,7 @@ import numpy as np
 
 from .bounds import (
     _BATCH_ENTRIES,
+    _MAX_ALLOC_BYTES,
     BoundReport,
     _report,
     _trace_rows,
@@ -38,6 +39,7 @@ from .generators import (
     SeededRng,
     _complex_matrix,
     _derived_streams,
+    _DerivedStream,
     _draw_gaussian,
     _draw_state,
     _spectrum,
@@ -74,7 +76,9 @@ BOUNDARY_Q = (-1.0, 0.0, 1.0)
 BOUNDARY_PERIOD = 16
 # Trial ``index`` draws from ``SeededRng(seed, index).split(k)``: q for
 # k = 0, the rank for k = 1, the state for k = 2, A and B for k = 3 and 4.
-# The streams of this many consecutive trials are derived in one pass.
+# The seed words of all five splits of this many consecutive trials are
+# derived in one pass; a trial builds a stream only if it draws from it,
+# so a boundary slot skips q and only odd mixed-rank trials use the rank.
 _TRIAL_STREAMS = 5
 _CHUNK_TRIALS = 512
 
@@ -113,6 +117,18 @@ class TrialPlan:
         # index (generators._spawn_words).
         if len(self.dims) * self.trials_per_dim > 2**32:
             out.append("dims times trials must not exceed 2**32")
+        if self.dims and min(self.dims) >= 1:
+            # The draw stacks of the largest batch, at least one trial of
+            # 6 * dim**2 + dim floats, must fit before anything is drawn.
+            need, dim = max(
+                (8 * max(1, _BATCH_ENTRIES // d**2) * (6 * d**2 + d), d)
+                for d in self.dims
+            )
+            if need > _MAX_ALLOC_BYTES:
+                out.append(
+                    f"dim {dim} needs more than the {_MAX_ALLOC_BYTES / 2**30:g} "
+                    f"GiB limit for one batch of draws"
+                )
         if not 0 <= self.seed < _UINT64_BOUND:
             out.append("seed must be an unsigned 64-bit integer")
         if not (np.isfinite(self.tolerance_rel) and self.tolerance_rel > 0):
@@ -160,22 +176,25 @@ def cmd_verify(plan: TrialPlan, out=None) -> int:
     """Run the Monte Carlo verification described by ``plan``.
 
     The trials run in index order, in chunks of ``_CHUNK_TRIALS`` whose
-    streams are derived in one pass.  Each chunk is cut into batches of
-    consecutive trials of one dim, of at most ``_BATCH_ENTRIES // dim**2``
-    trials.  Every trial draws from its own streams through the helpers
-    ``random_density`` and ``random_hermitian`` run, in the order they
-    fix, into its row of preallocated float stacks.  The spectra (the
+    stream seed words are derived in one pass.  Each chunk is cut into
+    batches of consecutive trials of one dim, of at most
+    ``_BATCH_ENTRIES // dim**2`` trials.  Every trial draws from its own
+    streams through the helpers ``random_density`` and
+    ``random_hermitian`` run, in the order they fix, into its row of
+    preallocated stacks: the exponentials, and one Gaussian pair (real
+    and imaginary parts) each for the frame, A and B.  The spectra (the
     exponentials normalised as NumPy's Dirichlet(1) normalises them), the
     complex matrices, the instances and the bounds are then computed once
     per batch, bit for bit as one trial at a time; so is the instance of
     a violated trial, which its ``violation_<index>.json`` document and
     its JSON record take from the batch.  Records are written in index
-    order, so a trial that raises leaves those before it written.
+    order, so a trial that raises leaves those before it written.  An
+    invalid plan is refused with one ``invalid plan:`` line naming every
+    problem, before anything is drawn or written.
     """
     problems = plan.problems()
     if problems:
-        for problem in problems:
-            print(f"invalid plan: {problem}", file=sys.stderr)
+        print(f"invalid plan: {'; '.join(problems)}", file=sys.stderr)
         return 2
 
     total = len(plan.dims) * plan.trials_per_dim
@@ -185,9 +204,9 @@ def cmd_verify(plan: TrialPlan, out=None) -> int:
         for start in range(0, total, _CHUNK_TRIALS):
             stop = min(start + _CHUNK_TRIALS, total)
             indices = np.arange(start, stop, dtype=np.uint64)
-            streams = _derived_streams(plan.seed, indices, _TRIAL_STREAMS)
+            words = _derived_streams(plan.seed, indices, _TRIAL_STREAMS)
             for dim, first, last in _batches(plan, start, stop):
-                batch = streams[first - start : last - start]
+                batch = words[first - start : last - start]
                 for outcome in _run_batch(plan, dim, first, batch):
                     _emit_records(
                         stream,
@@ -279,13 +298,13 @@ def _batches(plan: TrialPlan, start: int, stop: int):
         first = last
 
 
-def _run_batch(plan: TrialPlan, dim: int, first: int, streams):
+def _run_batch(plan: TrialPlan, dim: int, first: int, words: np.ndarray):
     """Yield the outcomes of trials ``first, first + 1, ...``, in order.
 
     A violated trial's document holds its instance, read from the batch,
     its q and its report's record fields.
     """
-    draws = _draw_batch(plan, dim, first, streams)
+    draws = _draw_batch(plan, dim, first, words)
     stack = _build_batch(draws)
     for offset, (q, traces) in enumerate(zip(draws.qs, _trace_rows(stack))):
         report = _report(traces, q)
@@ -297,35 +316,39 @@ def _run_batch(plan: TrialPlan, dim: int, first: int, streams):
         yield _TrialOutcome(first + offset, report, replay)
 
 
-def _draw_batch(plan: TrialPlan, dim: int, first: int, streams) -> _Draws:
-    # Trial ``first + offset`` draws from ``streams[offset]``, each stream
-    # exactly as the single-trial path draws from it, into row ``offset``
-    # of the exponential stack and of the six float stacks: the real and
-    # the imaginary parts of the frame, of A and of B.  The spectra and
-    # the complex matrices are then formed once for the batch.
-    m = len(streams)
+def _draw_batch(plan: TrialPlan, dim: int, first: int, words: np.ndarray) -> _Draws:
+    # Trial ``first + offset`` draws from the streams whose seed words are
+    # ``words[offset]`` (a ``_derived_streams`` block), each stream exactly
+    # as the single-trial path draws from it.  A stream is built only when
+    # the trial draws from it.  The draws go into row ``offset`` of the
+    # exponential stack and of the (m, 3, 2, dim, dim) Gaussian stack,
+    # whose pairs hold the real and the imaginary parts of the frame, of A
+    # and of B.  The spectra and the complex matrices are then formed once
+    # for the batch.
+    m = len(words)
     qs = []
     exps = np.zeros((m, dim))
-    parts = np.empty((6, m, dim, dim))
-    for offset, trial_streams in enumerate(streams):
-        q_stream, rank_stream, state_stream, a_stream, b_stream = trial_streams
+    pairs = np.empty((m, 3, 2, dim, dim))
+    mixed = plan.rank_policy == "mixed" and dim >= 2
+    for offset, trial in enumerate(words):
         index = first + offset
         slot = index % BOUNDARY_PERIOD
         if slot < len(BOUNDARY_Q):
             q = BOUNDARY_Q[slot]
         else:
-            q = float(q_stream.generator().uniform(plan.q_lo, plan.q_hi))
-        if plan.rank_policy == "mixed" and index % 2 == 1 and dim >= 2:
-            rank = int(rank_stream.generator().integers(1, dim))
+            g = _DerivedStream(trial[0]).generator()
+            q = float(g.uniform(plan.q_lo, plan.q_hi))
+        if mixed and index % 2 == 1:
+            rank = int(_DerivedStream(trial[1]).generator().integers(1, dim))
         else:
             rank = dim
         qs.append(q)
-        row = parts[:, offset]
-        _draw_state(state_stream.generator(), rank, exps[offset], row[0], row[1])
-        _draw_gaussian(a_stream.generator(), row[2], row[3])
-        _draw_gaussian(b_stream.generator(), row[4], row[5])
-    raw_frames, raw_a, raw_b = _complex_matrix(parts[0::2], parts[1::2])
-    return _Draws(qs, _spectrum(exps), raw_frames, raw_a, raw_b)
+        state, a, b = pairs[offset]
+        _draw_state(_DerivedStream(trial[2]).generator(), rank, exps[offset], state)
+        _draw_gaussian(_DerivedStream(trial[3]).generator(), a)
+        _draw_gaussian(_DerivedStream(trial[4]).generator(), b)
+    raw = _complex_matrix(pairs[:, :, 0], pairs[:, :, 1])
+    return _Draws(qs, _spectrum(exps), raw[:, 0], raw[:, 1], raw[:, 2])
 
 
 def _build_batch(draws: _Draws) -> _Instances:

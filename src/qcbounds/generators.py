@@ -6,21 +6,26 @@ consumer builds its own fresh generator from that name, so the draws do
 not depend on the order in which trials run.
 
 :meth:`SeededRng.generator` is the reference path.  ``verify`` derives the
-same streams in batches: the private kernel ``_spawn_words`` computes the
-PCG64 seed words of ``SeededRng(seed, index).split(k)`` for many indices
-in one vectorised pass, and each ``_DerivedStream`` builds from them the
-generator that :meth:`SeededRng.generator` would build, bit for bit.
+same streams in chunks: the private kernel ``_spawn_words`` computes the
+PCG64 seed words of ``SeededRng(seed, index).split(k)`` for every index
+and split of a chunk in one vectorised pass, into one C-contiguous
+``(indices, splits, 4)`` array.  A ``_DerivedStream`` is built on use
+from one row of it, only for a stream the trial draws from, and builds
+the generator that :meth:`SeededRng.generator` would build, bit for bit.
 
 Instances are drawn the same way on both paths.  The draw order lives in
 two private helpers that fill caller-given float buffers, ``_draw_state``
 and ``_draw_gaussian``, and the arithmetic on the draws in three array
 functions that act on one row or a stack: ``_spectrum``,
-``_complex_matrix`` and the QR phase fix ``_unitary_frame``.
-:func:`random_density` and :func:`random_hermitian` are the reference
-path: they run the helpers on one-row buffers.  ``verify`` fills one row
-per trial of preallocated stacks, then runs the array functions once per
-batch; they act element by element or, for stacked QR, round as one matrix
-at a time, so each trial gets the reference bytes.
+``_complex_matrix`` and the QR phase fix ``_unitary_frame``.  A Gaussian
+matrix is drawn into one contiguous ``(2, n, n)`` pair, real parts then
+imaginary parts, by one ``standard_normal`` fill, which reads the stream
+as two fills of ``(n, n)`` would.  :func:`random_density` and
+:func:`random_hermitian` are the reference path: they run the helpers on
+one-row buffers.  ``verify`` fills one row per trial of preallocated
+stacks, then runs the array functions once per batch; they act element
+by element or, for stacked QR, round as one matrix at a time, so each
+trial gets the reference bytes.
 
 The spectrum is Dirichlet(1, ..., 1) drawn as NumPy's
 ``Generator.dirichlet`` draws it: ``rank`` standard exponentials, each
@@ -118,6 +123,10 @@ class _DerivedStream:
         self.words = words
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        # PCG64 asks for (4, np.uint64) and reads the four words through a
+        # raw pointer, so ``words`` must be one contiguous uint64 row.
+        if dtype is np.uint64 and n_words == 4:
+            return self.words
         if n_words != 4 or np.dtype(dtype) != np.uint64:
             raise DomainError("a derived stream holds exactly four uint64 words")
         return self.words
@@ -137,27 +146,39 @@ def _register_derived_stream() -> None:
     ISeedSequence.register(_DerivedStream)
 
 
-def _derived_streams(
-    seed: int, indices: np.ndarray, splits: int
-) -> list[tuple[_DerivedStream, ...]]:
-    """Return, per index, the streams ``SeededRng(seed, index).split(k)``, k < splits."""
-    words = [_spawn_words(seed, indices, k) for k in range(splits)]
-    return list(zip(*(map(_DerivedStream, w) for w in words)))
+def _derived_streams(seed: int, indices: np.ndarray, splits: int) -> np.ndarray:
+    """Return the seed words of ``SeededRng(seed, index).split(k)``, k < splits.
+
+    The result is one C-contiguous ``(len(indices), splits, 4)`` uint64
+    array from a single ``_spawn_words`` pass; ``_DerivedStream(words[r, k])``
+    is the stream of ``indices[r]`` and split ``k``.
+    """
+    indices = np.asarray(indices, dtype=np.uint64)
+    return _spawn_words(seed, indices[:, None], np.arange(splits, dtype=np.uint64))
 
 
-def _spawn_words(seed: int, indices: np.ndarray, k: int) -> np.ndarray:
+def _spawn_words(seed: int, indices: np.ndarray, k) -> np.ndarray:
     """Return the PCG64 seed words of ``SeededRng(seed, i).split(k)`` per index i.
 
-    Row ``r`` equals ``np.random.SeedSequence(entropy=seed, spawn_key=(
-    indices[r], k)).generate_state(4, np.uint64)``: the same hash, run on
-    uint64 arrays under a 32-bit mask.  Only the index varies, so the
-    seed-only part of the pool stays scalar.  Every index and ``k`` must be
-    below 2**32, where each is one entropy word; larger ones raise.
+    ``k`` is an int or an array that broadcasts against ``indices``; the
+    result has their broadcast shape plus a last axis of the four words.
+    Entry ``r`` equals ``np.random.SeedSequence(entropy=seed, spawn_key=(
+    indices[r], k[r])).generate_state(4, np.uint64)``: the same hash, run
+    on uint64 arrays under a 32-bit mask.  The seed-only part of the pool
+    stays scalar.  Every index and split must be below 2**32, where each
+    is one entropy word; larger ones raise.
     """
     seed = SeededRng(seed).seed
     indices = np.asarray(indices, dtype=np.uint64)
-    if np.any(indices > _MASK32) or not 0 <= k <= _MASK32:
+    splits = np.asarray(k)
+    if (
+        np.any(indices > _MASK32)
+        or splits.dtype.kind not in "iu"
+        or np.any(splits < 0)
+        or np.any(splits > _MASK32)
+    ):
         raise DomainError("batched stream indices must be below 2**32")
+    k = splits.astype(np.uint64)
     # Assembled entropy: the seed's one or two words, zero-padded to the
     # pool size because a spawn key follows, then the spawn key.
     entropy = [seed & _MASK32, seed >> 32, 0, 0, indices, k]
@@ -173,7 +194,7 @@ def _spawn_words(seed: int, indices: np.ndarray, k: int) -> np.ndarray:
     hashes = _hash_constants(_INIT_B, _MULT_B)
     state = [_hashmix(pool[i % _POOL_SIZE], hashes) for i in range(8)]
     # Consecutive 32-bit words pair up little-endian into one uint64.
-    return np.stack([state[i] | state[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
+    return np.stack([state[i] | state[i + 1] << 32 for i in range(0, 8, 2)], axis=-1)
 
 
 def _hash_constants(value: int, mult: int):
@@ -200,9 +221,9 @@ def random_hermitian(n: int, rng: SeededRng) -> HermitianMatrix:
     """Return (M + M†)/2 for M with standard-normal real and imaginary parts."""
     if n < 1:
         raise InvalidDimension(f"n must be >= 1, got {n}")
-    re, im = np.empty((2, n, n))
-    _draw_gaussian(rng.generator(), re, im)
-    return _hermitian_value(_symmetrised(_complex_matrix(re, im)))
+    pair = np.empty((2, n, n))
+    _draw_gaussian(rng.generator(), pair)
+    return _hermitian_value(_symmetrised(_complex_matrix(pair[0], pair[1])))
 
 
 def random_density(n: int, rank: int, rng: SeededRng) -> DensityMatrix:
@@ -230,9 +251,9 @@ def random_density(n: int, rank: int, rng: SeededRng) -> DensityMatrix:
     if not 1 <= rank <= n:
         raise InvalidRank(f"rank must be in [1, {n}], got {rank}")
     exps = np.zeros(n)
-    re, im = np.empty((2, n, n))
-    _draw_state(rng.generator(), rank, exps, re, im)
-    frame = _unitary_frame(_complex_matrix(re, im))
+    pair = np.empty((2, n, n))
+    _draw_state(rng.generator(), rank, exps, pair)
+    frame = _unitary_frame(_complex_matrix(pair[0], pair[1]))
     return _density_value(*_density_arrays(_spectrum(exps), frame), frame)
 
 
@@ -244,25 +265,21 @@ def maximally_mixed(n: int) -> DensityMatrix:
     return density_from_decomposition(spectrum, np.eye(n, dtype=complex))
 
 
-def _draw_gaussian(g: np.random.Generator, re: np.ndarray, im: np.ndarray) -> None:
+def _draw_gaussian(g: np.random.Generator, pair: np.ndarray) -> None:
     # The one draw of random_hermitian, and the frame draw of random_density:
-    # the real parts, then the imaginary parts, of an n x n Gaussian matrix.
-    g.standard_normal(out=re)
-    g.standard_normal(out=im)
+    # the real parts, then the imaginary parts, of an n x n Gaussian matrix,
+    # into the contiguous (2, n, n) buffer ``pair`` in one fill.
+    g.standard_normal(out=pair)
 
 
 def _draw_state(
-    g: np.random.Generator,
-    rank: int,
-    exps: np.ndarray,
-    re: np.ndarray,
-    im: np.ndarray,
+    g: np.random.Generator, rank: int, exps: np.ndarray, pair: np.ndarray
 ) -> None:
     # The draws of random_density, in order: ``rank`` standard exponentials
     # into the tail of the zeroed row ``exps``, then the Gaussian matrix
-    # whose QR gives the frame.
+    # whose QR gives the frame, into ``pair``.
     g.standard_exponential(out=exps[exps.shape[-1] - rank :])
-    _draw_gaussian(g, re, im)
+    _draw_gaussian(g, pair)
 
 
 def _spectrum(exps: np.ndarray) -> np.ndarray:

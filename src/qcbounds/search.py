@@ -24,6 +24,7 @@ import numpy as np
 
 from .bounds import (
     _BATCH_ENTRIES,
+    _MAX_ALLOC_BYTES,
     BoundReport,
     _report,
     _trace_rows,
@@ -88,7 +89,8 @@ def maximize_tightness(
     Parameters
     ----------
     n : int
-        Matrix dimension, at least 2.
+        Matrix dimension, at least 2, and small enough that the simplex
+        and its first round fit in ``bounds._MAX_ALLOC_BYTES``.
     q : float
         Fixed deformation parameter, finite.
     budget : int
@@ -123,6 +125,14 @@ def maximize_tightness(
     classify_q(q)  # rejects non-finite q
 
     dim_theta = n + 3 * n * n
+    # Refused before the first simplex is built: it and the first round's
+    # points hold (d + 1) * d floats each.
+    need = 2 * 8 * (dim_theta + 1) * dim_theta
+    if need > _MAX_ALLOC_BYTES:
+        raise InvalidDimension(
+            f"n = {n} needs more than the {_MAX_ALLOC_BYTES / 2**30:g} GiB "
+            f"limit for the simplex and its first round"
+        )
     restarts = max(4, budget // RESTART_SHARE)
     share, extra = divmod(budget, restarts)
     # Restarts past the budget get no evaluation and are never started.

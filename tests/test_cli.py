@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -143,6 +144,59 @@ def test_verify_refuses_a_plan_past_2_pow_32_trials(tmp_path, monkeypatch, capsy
     plan = cli.TrialPlan((1,), 2**32 + 1, -3.0, 3.0, "mixed", 0, 1e-9, "csv")
     assert cli.cmd_verify(plan, out=out) == 2
     assert "invalid plan: dims times trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_names_every_plan_problem_on_one_line(tmp_path, capsys):
+    out = tmp_path / "run.csv"
+    assert run_cli("verify", "--trials", "0", "--tolerance", "0", "--out", out) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["invalid plan: trials must be >= 1; tolerance must be positive"]
+    assert not out.exists()
+
+
+def test_verify_plan_refuses_draw_stacks_past_the_memory_ceiling():
+    # One batch of the largest dim holds at least one trial of
+    # 6 * dim**2 + dim floats.
+    def plan(*dims):
+        return cli.TrialPlan(dims, 1, -3.0, 3.0, "mixed", 0, 1e-9, "csv")
+
+    limit = 4729  # the largest dim whose one-trial stacks fit in 1 GiB
+    assert 8 * (6 * limit**2 + limit) <= cli._MAX_ALLOC_BYTES == 2**30
+    assert plan(2, 32, limit).problems() == []
+    (problem,) = plan(2, limit + 1, 3).problems()
+    assert problem == "dim 4730 needs more than the 1 GiB limit for one batch of draws"
+    # Past the float range too: the size is compared as an integer.
+    (problem,) = plan(10**400).problems()
+    assert problem.startswith("dim 1000") and problem.endswith("batch of draws")
+    # A plan with a dim below 1 is refused for that alone.
+    assert plan(20000, 0).problems() == ["every dim must be >= 1"]
+
+
+@pytest.mark.parametrize(
+    "command, module, target",
+    [
+        (("verify", "--dims", "2,20000", "--trials", "1"), cli, "_draw_batch"),
+        (("search", "--n", "64", "--budget", "10"), qc.search, "_nelder_mead_max"),
+    ],
+    ids=["verify", "search"],
+)
+def test_a_run_past_the_memory_ceiling_exits_2_before_allocating(
+    tmp_path, monkeypatch, capsys, command, module, target
+):
+    # verify --dims 20000 would ask for about 18 GiB of draws, search --n 64
+    # for a 1.1 GiB simplex and as much again for its first round.  The
+    # allocating call is patched to fail, so nothing large is allocated
+    # should the run not be refused.
+    def refuse(*args, **kwargs):
+        raise AssertionError("reached the allocation of an oversized run")
+
+    monkeypatch.setattr(module, target, refuse)
+    out = tmp_path / "out"
+    assert run_cli(*command, "--out", out) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(("invalid plan: dim 20000 ", "error: n = 64 "))
+    assert "needs more than the 1 GiB limit" in line
     assert not out.exists()
 
 
@@ -362,6 +416,87 @@ def test_sweep_on_a_mutated_instance_file_exits_0_or_2(mutation):
             assert lines == []
             records = [json.loads(line) for line in out.read_text().splitlines()]
             assert [r["q"] for r in records] == list(np.linspace(-1, 1, FUZZ_STEPS))
+
+
+# Argv fuzzing of verify.  Each option has ordinary values, then extreme
+# or malformed text; up to two options take the latter, and every option
+# but --trials may be left out, so runs, refusals and argparse errors all
+# occur.  Valid plans hold at most three trials per dim; the only larger
+# trial counts pass 2**32, which the plan refuses.  Large dims are left to
+# the memory ceiling tests.
+VERIFY_FUZZ_OPTIONS = {
+    "--dims": (("1", "2", "3,1", "2,2,8", " 2 "),
+               ("0", "-1", "2,0", "", ",", "x", "2,,3", "1.5")),
+    "--trials": (("1", "3"),
+                 ("0", "-1", str(2**32 + 1), str(10**30), "x", "1.5", "")),
+    "--q-lo": (("-3", "-1", "0", "5e-324", "-1e300"),
+               ("1", "-1e308", "1e308", "nan", "inf", "-inf", "x")),
+    "--q-hi": (("3", "1", "1e-300", "1e300"),
+               ("0", "-1", "1e308", "-1e308", "nan", "inf", "-inf", "x")),
+    "--seed": (("0", "7", str(2**64 - 1)), (str(2**64), "-1", "x")),
+    "--tolerance": (("1e-9", "1e-300", "5e-324", "1e308"),
+                    ("0", "-1", "nan", "inf", "x")),
+    "--workers": (("1", "4"), ("0", "-1", "x")),
+}  # fmt: skip
+
+
+@contextlib.contextmanager
+def working_directory(path):
+    previous = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(previous)
+
+
+@st.composite
+def verify_options(draw):
+    odd = draw(st.sets(st.sampled_from(list(VERIFY_FUZZ_OPTIONS)), max_size=2))
+    options = {}
+    for name, (ordinary, extreme) in VERIFY_FUZZ_OPTIONS.items():
+        if name == "--trials" or name in odd or draw(st.booleans()):
+            options[name] = draw(st.sampled_from(extreme if name in odd else ordinary))
+    return options
+
+
+@given(verify_options())
+@example({"--trials": "0", "--tolerance": "0"})
+@example({"--trials": str(2**32 + 1), "--dims": "2,0"})
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_verify_on_fuzzed_options_exits_0_1_or_2(options):
+    # Violation documents are written to the working directory.
+    with tempfile.TemporaryDirectory() as tmp, working_directory(tmp):
+        out = Path(tmp) / "run.csv"
+        argv = ["verify", *(f"{k}={v}" for k, v in options.items()), "--out", str(out)]
+        err = io.StringIO()
+        with (
+            contextlib.redirect_stderr(err),
+            warnings.catch_warnings(record=True) as caught,
+        ):
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                # argparse refuses text it cannot convert, with its usage.
+                assert exc.code == 2
+                assert "error: argument " in err.getvalue()
+                assert not out.exists()
+                return
+        lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert len(lines) == 1, lines
+            assert lines[0].startswith(("error:", "invalid")), lines
+            assert not out.exists()
+            return
+        trials = int(options["--trials"])
+        dims = cli._parse_dims(options.get("--dims", "2,3,4"))
+        rows = read_rows(out)
+        assert [int(row[0]) for row in rows] == [d for d in dims for _ in range(trials)]
+        assert all(len(row) == len(CSV_COLUMNS) for row in rows)
+        if code == 0:
+            assert lines == []
 
 
 @pytest.mark.parametrize(

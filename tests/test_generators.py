@@ -139,19 +139,38 @@ INDICES = st.lists(
 )
 
 
+# One split as an int, or an array of one-word splits broadcast against
+# the indices as a column.
+SPLITS = st.one_of(
+    st.integers(0, 4),
+    st.lists(
+        st.one_of(st.sampled_from([0, 4, 2**32 - 1]), st.integers(0, 2**32 - 1)),
+        min_size=1, max_size=5,
+    ),
+)
+
+
 def seed_sequence_words(seed, index, k):
     key = np.random.SeedSequence(entropy=seed, spawn_key=(index, k))
     return key.generate_state(4, np.uint64)
 
 
-@given(SEEDS, INDICES, st.integers(0, 4))
+@given(SEEDS, INDICES, SPLITS)
 @settings(max_examples=150, deadline=None)
 def test_spawn_words_equal_seed_sequence_bitwise(seed, indices, k):
-    words = _spawn_words(seed, np.array(indices, dtype=np.uint64), k)
+    column = np.array(indices, dtype=np.uint64)
+    if isinstance(k, int):
+        words = _spawn_words(seed, column, k)
+        assert words.shape == (len(indices), 4)
+        words, splits = words[:, None], [k]
+    else:
+        splits = k
+        words = _spawn_words(seed, column[:, None], np.array(k, dtype=np.uint64))
+        assert words.shape == (len(indices), len(k), 4)
     assert words.dtype == np.uint64
-    assert words.shape == (len(indices), 4)
     for row, index in zip(words, indices):
-        assert row.tolist() == seed_sequence_words(seed, index, k).tolist()
+        for cell, split in zip(row, splits):
+            assert cell.tolist() == seed_sequence_words(seed, index, split).tolist()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
@@ -166,11 +185,14 @@ def test_spawn_words_equal_seed_sequence_at_word_edges(seed):
 @given(SEEDS, INDICES, st.integers(2, 9))
 @settings(max_examples=60, deadline=None)
 def test_derived_streams_draw_like_seeded_rng(seed, indices, n):
-    streams = _derived_streams(seed, np.array(indices, dtype=np.uint64), 5)
-    assert len(streams) == len(indices)
-    for index, trial_streams in zip(indices, streams):
-        for k, stream in enumerate(trial_streams):
-            derived = stream.generator()
+    words = _derived_streams(seed, np.array(indices, dtype=np.uint64), 5)
+    # PCG64 reads each row of four words through a raw pointer.
+    assert words.dtype == np.uint64
+    assert words.shape == (len(indices), 5, 4)
+    assert words.flags.c_contiguous
+    for index, trial_words in zip(indices, words):
+        for k, stream_words in enumerate(trial_words):
+            derived = _DerivedStream(stream_words).generator()
             reference = qc.SeededRng(seed, index).split(k).generator()
             for draw in (
                 lambda g: g.standard_normal((n, n)),
@@ -188,6 +210,10 @@ def test_spawn_words_reject_wide_indices():
         _spawn_words(5, np.array([2**64 - 1], dtype=np.uint64), 2)
     with pytest.raises(DomainError):
         _spawn_words(5, np.array([3], dtype=np.uint64), 2**32)
+    column = np.array([[3]], dtype=np.uint64)
+    for splits in ([0, 2**32], [-1, 0], [2**64 - 1], [0.5]):
+        with pytest.raises(DomainError):
+            _spawn_words(5, column, np.array(splits))
     for seed in (-1, 2**64, 5.0):
         with pytest.raises(DomainError):
             _spawn_words(seed, np.array([3], dtype=np.uint64), 0)
@@ -195,10 +221,15 @@ def test_spawn_words_reject_wide_indices():
 
 
 def test_derived_stream_serves_only_pcg64_seeding():
-    (stream,) = _derived_streams(3, np.array([7], dtype=np.uint64), 1)[0]
-    assert isinstance(stream, _DerivedStream)
+    words = _derived_streams(3, np.array([7], dtype=np.uint64), 1)[0, 0]
+    stream = _DerivedStream(words)
+    # PCG64's own request takes the identity test; an equal dtype the check.
+    assert stream.generate_state(4, np.uint64) is words
+    assert stream.generate_state(4, np.dtype("uint64")) is words
     with pytest.raises(DomainError):
         stream.generate_state(8, np.uint32)
+    with pytest.raises(DomainError):
+        stream.generate_state(4, np.uint32)
     with pytest.raises(DomainError):
         np.random.MT19937(stream)
 
@@ -221,8 +252,9 @@ def test_spectrum_equals_padded_sorted_dirichlet(seed, case):
     rank, n = case
     stream = qc.SeededRng(seed, 2)
     exps = np.zeros(n)
-    re, im = np.empty((2, n, n))
-    _draw_state(stream.generator(), rank, exps, re, im)
+    pair = np.empty((2, n, n))
+    _draw_state(stream.generator(), rank, exps, pair)
+    re, im = pair
     # The draw fills the tail of the row, where the padded spectrum has it.
     assert not exps[: n - rank].any()
 

@@ -80,6 +80,21 @@ def test_search_rejects_non_finite_q_before_decoding(monkeypatch):
         qc.maximize_tightness(2, math.inf, 10, qc.SeededRng(0))
 
 
+def test_search_refuses_a_simplex_past_the_memory_ceiling(monkeypatch):
+    # The simplex and its first round hold (d + 1) * d floats each, for
+    # d = n + 3 n^2: n = 52 fits in 1 GiB, n = 53 does not.  Building the
+    # simplex is patched to fail, so nothing large is allocated.
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the simplex")
+
+    monkeypatch.setattr(search, "_nelder_mead_max", refuse)
+    for n in (53, 64, 10**400):
+        with pytest.raises(InvalidDimension, match="1 GiB limit"):
+            qc.maximize_tightness(n, 0.5, 10, qc.SeededRng(0))
+    with pytest.raises(AssertionError, match="built the simplex"):
+        qc.maximize_tightness(52, 0.5, 10, qc.SeededRng(0))
+
+
 def test_search_single_evaluation():
     result = qc.maximize_tightness(2, 1.0, 1, qc.SeededRng(3))
     assert result.evaluations == 1
