@@ -62,10 +62,10 @@ RATIO_FLOOR = 1e-14
 # entries, 64 KiB of complex128.  ``verify`` and ``search`` cut their
 # batches to it: 256 instances at n = 4, four at n = 32.
 _BATCH_ENTRIES = 4096
-# ``verify`` and ``search`` refuse, before allocating, a run whose draw
-# stacks (one batch) or whose simplex and first round would pass this
-# many bytes: ``verify --dims 20000`` would ask for 18 GiB of draws and
-# ``search --n 64`` for two 1.1 GiB copies.
+# ``verify``, ``sweep`` and ``search`` refuse, before allocating, a run
+# whose draw stacks (one batch), whose reports or whose simplex and first
+# round would pass this many bytes: ``verify --dims 20000`` would ask for
+# 18 GiB of draws and ``search --n 64`` for two 1.1 GiB copies.
 _MAX_ALLOC_BYTES = 2**30
 
 
@@ -371,6 +371,12 @@ def _traces(state: DensityMatrix, a: HermitianMatrix, b: HermitianMatrix) -> _Tr
     _check_same_dim(state, a)
     _check_same_dim(state, b)
     return _row(state.dim, _trace_kernel(state.mat, state.eigenvalues, a.mat, b.mat))
+
+
+def _batch_rows(n: int) -> int:
+    # The rows of one stack of n x n instances under _BATCH_ENTRIES, at
+    # least one.
+    return max(1, _BATCH_ENTRIES // n**2)
 
 
 def _trace_rows(stack: _Instances) -> Iterator[_Traces]:

@@ -20,12 +20,10 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from .bounds import (
-    _BATCH_ENTRIES,
     _MAX_ALLOC_BYTES,
     BoundReport,
     _report,
@@ -34,18 +32,7 @@ from .bounds import (
     sweep_q,
 )
 from .errors import MasterInequalityViolation, QcboundsError
-from .generators import (
-    _UINT64_BOUND,
-    SeededRng,
-    _complex_matrix,
-    _derived_streams,
-    _DerivedStream,
-    _draw_gaussian,
-    _draw_state,
-    _spectrum,
-    _unitary_frame,
-)
-from .hermitian import _density_arrays, _Instances, _symmetrised
+from .generators import _UINT64_BOUND, SeededRng, _draw_bytes, _trial_batches
 from .instances import instance_payload, load_instance, render_document
 from .search import maximize_tightness
 
@@ -70,17 +57,11 @@ CSV_COLUMNS = (
     "slack",
     "ratio",
 )
-# Every 16th, 17th and 18th trial pins q to a boundary value so the exact
-# regime edges are always exercised.
-BOUNDARY_Q = (-1.0, 0.0, 1.0)
-BOUNDARY_PERIOD = 16
-# Trial ``index`` draws from ``SeededRng(seed, index).split(k)``: q for
-# k = 0, the rank for k = 1, the state for k = 2, A and B for k = 3 and 4.
-# The seed words of all five splits of this many consecutive trials are
-# derived in one pass; a trial builds a stream only if it draws from it,
-# so a boundary slot skips q and only odd mixed-rank trials use the rank.
-_TRIAL_STREAMS = 5
-_CHUNK_TRIALS = 512
+# Peak memory a sweep grid holds per q point before it writes a record,
+# its reports and their floats: 347 B, measured as the peak RSS growth of
+# a 400000-step JSON sweep of an n = 8 instance (NumPy 2.4.6, Python
+# 3.11), rounded up.  A grid past bounds._MAX_ALLOC_BYTES is refused.
+_SWEEP_POINT_BYTES = 350
 
 
 @dataclass(frozen=True)
@@ -118,12 +99,9 @@ class TrialPlan:
         if len(self.dims) * self.trials_per_dim > 2**32:
             out.append("dims times trials must not exceed 2**32")
         if self.dims and min(self.dims) >= 1:
-            # The draw stacks of the largest batch, at least one trial of
-            # 6 * dim**2 + dim floats, must fit before anything is drawn.
-            need, dim = max(
-                (8 * max(1, _BATCH_ENTRIES // d**2) * (6 * d**2 + d), d)
-                for d in self.dims
-            )
+            # The draw stacks of the largest batch must fit before anything
+            # is drawn.
+            need, dim = max((_draw_bytes(d), d) for d in self.dims)
             if need > _MAX_ALLOC_BYTES:
                 out.append(
                     f"dim {dim} needs more than the {_MAX_ALLOC_BYTES / 2**30:g} "
@@ -136,22 +114,6 @@ class TrialPlan:
         if self.output_format not in ("csv", "json"):
             out.append(f"unknown output format {self.output_format!r}")
         return out
-
-
-class _TrialOutcome(NamedTuple):
-    index: int
-    report: BoundReport
-    replay: dict | None  # the violation document; None unless violated
-
-
-class _Draws(NamedTuple):
-    """The random draws of consecutive trials of one dim, stacked."""
-
-    qs: list[float]
-    spectra: np.ndarray  # (m, n), each sorted ascending
-    raw_frames: np.ndarray  # (m, n, n) Gaussian matrices orthonormalised by QR
-    raw_a: np.ndarray  # (m, n, n) Gaussian matrices, A before symmetrising
-    raw_b: np.ndarray
 
 
 def main(argv=None) -> int:
@@ -175,51 +137,42 @@ def main(argv=None) -> int:
 def cmd_verify(plan: TrialPlan, out=None) -> int:
     """Run the Monte Carlo verification described by ``plan``.
 
-    The trials run in index order, in chunks of ``_CHUNK_TRIALS`` whose
-    stream seed words are derived in one pass.  Each chunk is cut into
-    batches of consecutive trials of one dim, of at most
-    ``_BATCH_ENTRIES // dim**2`` trials.  Every trial draws from its own
-    streams through the helpers ``random_density`` and
-    ``random_hermitian`` run, in the order they fix, into its row of
-    preallocated stacks: the exponentials, and one Gaussian pair (real
-    and imaginary parts) each for the frame, A and B.  The spectra (the
-    exponentials normalised as NumPy's Dirichlet(1) normalises them), the
-    complex matrices, the instances and the bounds are then computed once
-    per batch, bit for bit as one trial at a time; so is the instance of
-    a violated trial, which its ``violation_<index>.json`` document and
-    its JSON record take from the batch.  Records are written in index
-    order, so a trial that raises leaves those before it written.  An
-    invalid plan is refused with one ``invalid plan:`` line naming every
-    problem, before anything is drawn or written.
+    ``generators._trial_batches`` draws the trials in index order, in
+    batches of consecutive trials of one dim, each one stack of instances
+    built bit for bit as one trial at a time.  Each batch's bounds are
+    evaluated in one trace pass, and each trial's record is written as
+    soon as its report is, so a trial that raises leaves those before it
+    written.  A violated trial's ``violation_<index>.json`` document and
+    JSON record hold its instance, read from the batch, its q and its
+    report's fields.  An invalid plan is refused with one ``invalid
+    plan:`` line naming every problem, before anything is drawn or
+    written.
     """
     problems = plan.problems()
     if problems:
-        print(f"invalid plan: {'; '.join(problems)}", file=sys.stderr)
-        return 2
+        return _refuse_plan(problems)
 
-    total = len(plan.dims) * plan.trials_per_dim
-    violations: list[_TrialOutcome] = []
+    violations = []
+    mixed = plan.rank_policy == "mixed"
+    batches = _trial_batches(
+        plan.seed, plan.dims, plan.trials_per_dim, plan.q_lo, plan.q_hi, mixed
+    )
     with _out_stream(out) as stream:
         _emit_header(stream, plan.output_format)
-        for start in range(0, total, _CHUNK_TRIALS):
-            stop = min(start + _CHUNK_TRIALS, total)
-            indices = np.arange(start, stop, dtype=np.uint64)
-            words = _derived_streams(plan.seed, indices, _TRIAL_STREAMS)
-            for dim, first, last in _batches(plan, start, stop):
-                batch = words[first - start : last - start]
-                for outcome in _run_batch(plan, dim, first, batch):
-                    _emit_records(
-                        stream,
-                        plan.output_format,
-                        (outcome.report,),
-                        replay=outcome.replay,
-                    )
-                    if outcome.replay is not None:
-                        violations.append(outcome)
+        for first, qs, stack in batches:
+            for offset, (q, traces) in enumerate(zip(qs, _trace_rows(stack))):
+                report = _report(traces, q)
+                replay = None
+                if _violated(report, plan.tolerance_rel):
+                    replay = instance_payload(*stack.row(offset))
+                    replay["q"] = q
+                    replay["report"] = _record_fields(report)
+                    violations.append((first + offset, replay))
+                _emit_records(stream, plan.output_format, (report,), replay=replay)
 
-    for outcome in violations:
-        path = Path(f"violation_{outcome.index}.json")
-        path.write_text(render_document(outcome.replay) + "\n", encoding="utf-8")
+    for index, replay in violations:
+        path = Path(f"violation_{index}.json")
+        path.write_text(render_document(replay) + "\n", encoding="utf-8")
     if violations:
         print(
             f"{len(violations)} violation(s) at tolerance {plan.tolerance_rel!r}; "
@@ -241,7 +194,8 @@ def cmd_sweep(
     the first report, and one loop of ``_emit_records`` writes every
     record, each formatting only its q columns.  All reports are computed
     before the first byte is written, so an instance the bounds refuse
-    leaves no partial output.
+    leaves no partial output, and a grid whose reports would pass
+    ``bounds._MAX_ALLOC_BYTES`` is refused before anything is allocated.
     """
     if steps < 1:
         print("invalid sweep: steps must be >= 1", file=sys.stderr)
@@ -254,6 +208,13 @@ def cmd_sweep(
         return 2
     if output_format not in ("csv", "json"):
         print(f"invalid sweep: unknown format {output_format!r}", file=sys.stderr)
+        return 2
+    if steps * _SWEEP_POINT_BYTES > _MAX_ALLOC_BYTES:
+        print(
+            f"invalid sweep: {steps} steps need more than the "
+            f"{_MAX_ALLOC_BYTES / 2**30:g} GiB limit for the reports",
+            file=sys.stderr,
+        )
         return 2
     state, a, b = load_instance(instance_file)
     grid = np.linspace(q_lo, q_hi, steps)
@@ -286,85 +247,17 @@ def cmd_search(n: int, q: float, budget: int, seed: int, out=None) -> int:
     return 0
 
 
-def _batches(plan: TrialPlan, start: int, stop: int):
-    """Yield ``(dim, first, last)`` for batches covering trials [start, stop)."""
-    first = start
-    while first < stop:
-        group = first // plan.trials_per_dim
-        dim = plan.dims[group]
-        cap = max(1, _BATCH_ENTRIES // dim**2)
-        last = min(stop, (group + 1) * plan.trials_per_dim, first + cap)
-        yield dim, first, last
-        first = last
-
-
-def _run_batch(plan: TrialPlan, dim: int, first: int, words: np.ndarray):
-    """Yield the outcomes of trials ``first, first + 1, ...``, in order.
-
-    A violated trial's document holds its instance, read from the batch,
-    its q and its report's record fields.
-    """
-    draws = _draw_batch(plan, dim, first, words)
-    stack = _build_batch(draws)
-    for offset, (q, traces) in enumerate(zip(draws.qs, _trace_rows(stack))):
-        report = _report(traces, q)
-        replay = None
-        if _violated(report, plan.tolerance_rel):
-            replay = instance_payload(*stack.row(offset))
-            replay["q"] = q
-            replay["report"] = _record_fields(report)
-        yield _TrialOutcome(first + offset, report, replay)
-
-
-def _draw_batch(plan: TrialPlan, dim: int, first: int, words: np.ndarray) -> _Draws:
-    # Trial ``first + offset`` draws from the streams whose seed words are
-    # ``words[offset]`` (a ``_derived_streams`` block), each stream exactly
-    # as the single-trial path draws from it.  A stream is built only when
-    # the trial draws from it.  The draws go into row ``offset`` of the
-    # exponential stack and of the (m, 3, 2, dim, dim) Gaussian stack,
-    # whose pairs hold the real and the imaginary parts of the frame, of A
-    # and of B.  The spectra and the complex matrices are then formed once
-    # for the batch.
-    m = len(words)
-    qs = []
-    exps = np.zeros((m, dim))
-    pairs = np.empty((m, 3, 2, dim, dim))
-    mixed = plan.rank_policy == "mixed" and dim >= 2
-    for offset, trial in enumerate(words):
-        index = first + offset
-        slot = index % BOUNDARY_PERIOD
-        if slot < len(BOUNDARY_Q):
-            q = BOUNDARY_Q[slot]
-        else:
-            g = _DerivedStream(trial[0]).generator()
-            q = float(g.uniform(plan.q_lo, plan.q_hi))
-        if mixed and index % 2 == 1:
-            rank = int(_DerivedStream(trial[1]).generator().integers(1, dim))
-        else:
-            rank = dim
-        qs.append(q)
-        state, a, b = pairs[offset]
-        _draw_state(_DerivedStream(trial[2]).generator(), rank, exps[offset], state)
-        _draw_gaussian(_DerivedStream(trial[3]).generator(), a)
-        _draw_gaussian(_DerivedStream(trial[4]).generator(), b)
-    raw = _complex_matrix(pairs[:, :, 0], pairs[:, :, 1])
-    return _Draws(qs, _spectrum(exps), raw[:, 0], raw[:, 1], raw[:, 2])
-
-
-def _build_batch(draws: _Draws) -> _Instances:
-    # The stacked counterpart of random_density and random_hermitian.
-    frame = _unitary_frame(draws.raw_frames)
-    rho, vals = _density_arrays(draws.spectra, frame)
-    a, b = _symmetrised(draws.raw_a), _symmetrised(draws.raw_b)
-    return _Instances(rho, vals, frame, a, b)
-
-
 def _record_fields(report: BoundReport) -> dict:
     fields = {}
     for column in CSV_COLUMNS:
         value = getattr(report, column)
         fields[column] = value.value if column == "regime" else value
     return fields
+
+
+def _refuse_plan(problems: list[str]) -> int:
+    print(f"invalid plan: {'; '.join(problems)}", file=sys.stderr)
+    return 2
 
 
 def _emit_header(stream, output_format: str) -> None:
@@ -501,9 +394,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _handle_verify(args) -> int:
-    if args.workers < 1:
-        print("invalid plan: workers must be >= 1", file=sys.stderr)
-        return 2
     plan = TrialPlan(
         dims=args.dims,
         trials_per_dim=args.trials,
@@ -514,6 +404,9 @@ def _handle_verify(args) -> int:
         tolerance_rel=args.tolerance,
         output_format=args.format,
     )
+    if args.workers < 1:
+        # --workers is not part of the plan, but is named with its problems.
+        return _refuse_plan(["workers must be >= 1", *plan.problems()])
     return cmd_verify(plan, out=args.out)
 
 

@@ -22,10 +22,15 @@ matrix is drawn into one contiguous ``(2, n, n)`` pair, real parts then
 imaginary parts, by one ``standard_normal`` fill, which reads the stream
 as two fills of ``(n, n)`` would.  :func:`random_density` and
 :func:`random_hermitian` are the reference path: they run the helpers on
-one-row buffers.  ``verify`` fills one row per trial of preallocated
-stacks, then runs the array functions once per batch; they act element
-by element or, for stacked QR, round as one matrix at a time, so each
-trial gets the reference bytes.
+one-row buffers.
+
+``verify``'s trial ensemble lives here too, with its stream layout
+(``_TRIAL_STREAMS``).  ``_trial_batches`` yields it in index order, one
+stack of consecutive trials of one dim at a time, from seed words
+derived ``_CHUNK_TRIALS`` trials per pass.  ``_draw_trials`` fills one
+row per trial of preallocated stacks, then runs the array functions once
+per batch; they act element by element or, for stacked QR, round as one
+matrix at a time, so each trial gets the reference bytes.
 
 The spectrum is Dirichlet(1, ..., 1) drawn as NumPy's
 ``Generator.dirichlet`` draws it: ``rank`` standard exponentials, each
@@ -41,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _batch_rows
 from .errors import DomainError, InvalidDimension, InvalidRank
 from .hermitian import (
     DensityMatrix,
@@ -48,11 +54,23 @@ from .hermitian import (
     _density_arrays,
     _density_value,
     _hermitian_value,
+    _Instances,
     _symmetrised,
     density_from_decomposition,
 )
 
 _UINT64_BOUND = 2**64
+# Every 16th, 17th and 18th trial pins q to a boundary value so the exact
+# regime edges are always exercised.
+BOUNDARY_Q = (-1.0, 0.0, 1.0)
+BOUNDARY_PERIOD = 16
+# Trial ``index`` draws from ``SeededRng(seed, index).split(k)``: q for
+# k = 0, the rank for k = 1, the state for k = 2, A and B for k = 3 and 4.
+# The seed words of all five splits of this many consecutive trials are
+# derived in one pass; a trial builds a stream only if it draws from it,
+# so a boundary slot skips q and only odd mixed-rank trials use the rank.
+_TRIAL_STREAMS = 5
+_CHUNK_TRIALS = 512
 
 # NumPy's SeedSequence hash (O'Neill's seed_seq_fe), whose output NEP 19
 # keeps stable across NumPy releases.
@@ -280,6 +298,77 @@ def _draw_state(
     # whose QR gives the frame, into ``pair``.
     g.standard_exponential(out=exps[exps.shape[-1] - rank :])
     _draw_gaussian(g, pair)
+
+
+def _trial_batches(seed, dims, trials_per_dim, q_lo, q_hi, mixed):
+    """Yield ``(first, qs, stack)`` for every batch of trials, in index order.
+
+    ``qs`` and the ``_Instances`` ``stack`` hold trials ``first, first +
+    1, ...``, all of one dim.  ``mixed`` draws a rank below the dim for odd
+    trials.  A batch never spans two chunks of ``_CHUNK_TRIALS``, whose
+    seed words are derived in one pass, and holds at most
+    ``_batch_rows(dim)`` trials.  Each batch is drawn when it is asked for.
+    """
+    total = len(dims) * trials_per_dim
+    for start in range(0, total, _CHUNK_TRIALS):
+        stop = min(start + _CHUNK_TRIALS, total)
+        indices = np.arange(start, stop, dtype=np.uint64)
+        words = _derived_streams(seed, indices, _TRIAL_STREAMS)
+        first = start
+        while first < stop:
+            group = first // trials_per_dim
+            dim = dims[group]
+            last = min(stop, (group + 1) * trials_per_dim, first + _batch_rows(dim))
+            batch = words[first - start : last - start]
+            yield first, *_draw_trials(batch, first, dim, q_lo, q_hi, mixed)
+            first = last
+
+
+def _draw_trials(words, first, dim, q_lo, q_hi, mixed):
+    """Return the q values and the ``_Instances`` stack of consecutive trials.
+
+    Trial ``first + offset`` draws from the streams whose seed words are
+    ``words[offset]`` (a ``_derived_streams`` block), each stream exactly
+    as ``random_density`` and ``random_hermitian`` draw from theirs; a
+    stream is built only when the trial draws from it.  The draws go into
+    row ``offset`` of the exponential stack and of the (m, 3, 2, dim, dim)
+    Gaussian stack, whose pairs hold the real and the imaginary parts of
+    the frame, of A and of B.  The spectra, the complex matrices and the
+    instances are then formed once for the batch.
+    """
+    m = len(words)
+    qs = []
+    exps = np.zeros((m, dim))
+    pairs = np.empty((m, 3, 2, dim, dim))
+    mixed = mixed and dim >= 2
+    for offset, trial in enumerate(words):
+        index = first + offset
+        slot = index % BOUNDARY_PERIOD
+        if slot < len(BOUNDARY_Q):
+            q = BOUNDARY_Q[slot]
+        else:
+            q = float(_DerivedStream(trial[0]).generator().uniform(q_lo, q_hi))
+        if mixed and index % 2 == 1:
+            rank = int(_DerivedStream(trial[1]).generator().integers(1, dim))
+        else:
+            rank = dim
+        qs.append(q)
+        state, a, b = pairs[offset]
+        _draw_state(_DerivedStream(trial[2]).generator(), rank, exps[offset], state)
+        _draw_gaussian(_DerivedStream(trial[3]).generator(), a)
+        _draw_gaussian(_DerivedStream(trial[4]).generator(), b)
+    raw = _complex_matrix(pairs[:, :, 0], pairs[:, :, 1])
+    frame = _unitary_frame(raw[:, 0])
+    rho, vals = _density_arrays(_spectrum(exps), frame)
+    a, b = _symmetrised(raw[:, 1]), _symmetrised(raw[:, 2])
+    return qs, _Instances(rho, vals, frame, a, b)
+
+
+def _draw_bytes(dim: int) -> int:
+    # The bytes of the float stacks _draw_trials fills for one batch of
+    # ``dim``: (m, dim) exponentials and (m, 3, 2, dim, dim) Gaussian pairs.
+    # Exact for any int dim, so a dim past the float range is sized too.
+    return 8 * _batch_rows(dim) * (6 * dim**2 + dim)
 
 
 def _spectrum(exps: np.ndarray) -> np.ndarray:

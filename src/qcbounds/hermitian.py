@@ -21,13 +21,14 @@ check: :func:`make_hermitian` and :func:`make_density` call them after
 their checks, and ``generators.random_hermitian`` and ``random_density``
 on their draws.
 
-``verify`` (``cli._build_batch``) and ``search`` (``search._decode_batch``)
-build whole stacks of instances at once, as an :class:`_Instances`, which
-``bounds._trace_rows`` evaluates.  Every step acts row by row, so row
-``i`` is bitwise the instance built from its inputs alone, and
-:meth:`_Instances.row` wraps read-only copies of it as value types.  :func:`_centred` and
-:func:`_trace3`, which :func:`center`, :func:`variance` and ``bounds``
-evaluate through, take one matrix or a stack as well.
+``verify`` (``generators._draw_trials``) and ``search``
+(``search._decode_batch``) build whole stacks of instances at once, as
+an :class:`_Instances`, which ``bounds._trace_rows`` evaluates.  Every
+step acts row by row, so row ``i`` is bitwise the instance built from
+its inputs alone, and :meth:`_Instances.row` wraps read-only copies of
+it as value types.  :func:`_centred` and :func:`_trace3`, which
+:func:`center`, :func:`variance` and ``bounds`` evaluate through, take
+one matrix or a stack as well.
 """
 
 from __future__ import annotations

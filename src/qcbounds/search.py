@@ -23,9 +23,9 @@ from functools import cache
 import numpy as np
 
 from .bounds import (
-    _BATCH_ENTRIES,
     _MAX_ALLOC_BYTES,
     BoundReport,
+    _batch_rows,
     _report,
     _trace_rows,
     _violated,
@@ -138,7 +138,7 @@ def maximize_tightness(
     # Restarts past the budget get no evaluation and are never started.
     stop = min(restarts, budget)
     window = max(1, _LOCKSTEP_FLOATS // ((dim_theta + 1) * dim_theta))
-    cap = max(1, _BATCH_ENTRIES // (n * n))
+    cap = _batch_rows(n)
 
     best, instance, evals = -np.inf, None, 0
     trajectory: list[tuple[int, float]] = []

@@ -17,8 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcbounds as qc
-from qcbounds import cli
-from qcbounds.bounds import _traces
+from qcbounds import cli, generators
+from qcbounds.bounds import (
+    _BATCH_ENTRIES,
+    _batch_rows,
+    _report,
+    _trace_rows,
+    _traces,
+)
 from qcbounds.generators import _derived_streams
 
 DIMS = [1, 2, 3, 4, 5, 6, 7, 8, 32]
@@ -29,9 +35,9 @@ def reference_q_and_rank(plan, dim, index):
     # q from split 0 unless the slot pins a boundary value, rank from
     # split 1 on odd trials under the mixed policy.
     trial = qc.SeededRng(plan.seed, index)
-    slot = index % cli.BOUNDARY_PERIOD
-    if slot < len(cli.BOUNDARY_Q):
-        q = cli.BOUNDARY_Q[slot]
+    slot = index % generators.BOUNDARY_PERIOD
+    if slot < len(generators.BOUNDARY_Q):
+        q = generators.BOUNDARY_Q[slot]
     else:
         q = float(trial.split(0).generator().uniform(plan.q_lo, plan.q_hi))
     rank = dim
@@ -53,7 +59,7 @@ def csv_line(report):
 @st.composite
 def batches(draw):
     dim = draw(st.sampled_from(DIMS))
-    cap = min(max(1, cli._BATCH_ENTRIES // dim**2), cli._CHUNK_TRIALS)
+    cap = min(_batch_rows(dim), generators._CHUNK_TRIALS)
     size = draw(st.one_of(st.integers(1, 12), st.just(cap)))
     first = draw(st.integers(0, 2**32 - 1 - size))
     plan = cli.TrialPlan(
@@ -74,18 +80,20 @@ def batches(draw):
 def test_batched_rows_equal_reference_path(case):
     plan, dim, first, size = case
     indices = np.arange(first, first + size, dtype=np.uint64)
-    streams = _derived_streams(plan.seed, indices, cli._TRIAL_STREAMS)
-    draws = cli._draw_batch(plan, dim, first, streams)
-    stack = cli._build_batch(draws)
+    streams = _derived_streams(plan.seed, indices, generators._TRIAL_STREAMS)
+    mixed = plan.rank_policy == "mixed"
+    qs, stack = generators._draw_trials(
+        streams, first, dim, plan.q_lo, plan.q_hi, mixed
+    )
     rho, vals, frame, a, b = stack
-    rows = list(cli._trace_rows(stack))
-    outcomes = list(cli._run_batch(plan, dim, first, streams))
-    assert len(rows) == len(outcomes) == size
+    rows = list(_trace_rows(stack))
+    reports = [_report(traces, q) for q, traces in zip(qs, rows)]
+    assert len(rows) == len(reports) == size
 
     for offset in range(size):
         index = first + offset
         q, rank = reference_q_and_rank(plan, dim, index)
-        assert draws.qs[offset] == q
+        assert qs[offset] == q
         trial = qc.SeededRng(plan.seed, index)
         state = qc.random_density(dim, rank, trial.split(2))
         ref_a = qc.random_hermitian(dim, trial.split(3))
@@ -98,25 +106,34 @@ def test_batched_rows_equal_reference_path(case):
 
         expected = _traces(state, ref_a, ref_b)
         assert [as_bytes(v) for v in rows[offset]] == [as_bytes(v) for v in expected]
-        outcome = outcomes[offset]
-        assert outcome.index == index
         reference = qc.bound_report(state, ref_a, ref_b, q)
-        assert csv_line(outcome.report) == csv_line(reference)
+        assert csv_line(reports[offset]) == csv_line(reference)
 
 
-def test_batches_stay_in_one_dim_one_chunk_and_under_the_cap():
+def test_batches_stay_in_one_dim_one_chunk_and_under_the_cap(monkeypatch):
     # 600 trials: an n = 1 group, an n = 5 group, and an n = 32 group
-    # that the 512-trial chunk edge cuts at trial 512.
-    plan = cli.TrialPlan((1, 5, 32), 200, -3.0, 3.0, "mixed", 3, 1e-9, "csv")
+    # that the 512-trial chunk edge cuts at trial 512.  The draws are
+    # stubbed out; each batch reports its dim and its rows of seed words.
+    def cut(words, first, dim, q_lo, q_hi, mixed):
+        return [dim] * len(words), words
+
+    monkeypatch.setattr(generators, "_draw_trials", cut)
+    chunk = generators._CHUNK_TRIALS
     cuts = []
-    for start in range(0, 600, cli._CHUNK_TRIALS):
-        cuts += list(cli._batches(plan, start, min(start + cli._CHUNK_TRIALS, 600)))
+    for first, dims, words in generators._trial_batches(
+        3, (1, 5, 32), 200, -3.0, 3.0, True
+    ):
+        last = first + len(dims)
+        cuts.append((dims[0], first, last))
+        indices = np.arange(first, last, dtype=np.uint64)
+        expected = _derived_streams(3, indices, generators._TRIAL_STREAMS)
+        assert words.tobytes() == expected.tobytes()
     assert [first for _, first, _ in cuts] == [0] + [last for _, _, last in cuts[:-1]]
     assert cuts[-1][2] == 600
     for dim, first, last in cuts:
-        assert plan.dims[first // 200] == plan.dims[(last - 1) // 200] == dim
-        assert first // cli._CHUNK_TRIALS == (last - 1) // cli._CHUNK_TRIALS
-        assert (last - first) * dim**2 <= max(dim**2, cli._BATCH_ENTRIES)
+        assert (1, 5, 32)[first // 200] == (1, 5, 32)[(last - 1) // 200] == dim
+        assert first // chunk == (last - 1) // chunk
+        assert (last - first) * dim**2 <= max(dim**2, _BATCH_ENTRIES)
     sizes = [(dim, last - first) for dim, first, last in cuts]
     assert sizes[:2] == [(1, 200), (5, 163)]
     assert (5, 37) in sizes

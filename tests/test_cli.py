@@ -149,10 +149,15 @@ def test_verify_refuses_a_plan_past_2_pow_32_trials(tmp_path, monkeypatch, capsy
 
 def test_verify_names_every_plan_problem_on_one_line(tmp_path, capsys):
     out = tmp_path / "run.csv"
-    assert run_cli("verify", "--trials", "0", "--tolerance", "0", "--out", out) == 2
-    lines = capsys.readouterr().err.splitlines()
-    assert lines == ["invalid plan: trials must be >= 1; tolerance must be positive"]
-    assert not out.exists()
+    for flags, line in [
+        (("--trials", "0", "--tolerance", "0"),
+         "invalid plan: trials must be >= 1; tolerance must be positive"),
+        (("--workers", "0", "--trials", "0"),
+         "invalid plan: workers must be >= 1; trials must be >= 1"),
+    ]:  # fmt: skip
+        assert run_cli("verify", *flags, "--out", out) == 2
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert not out.exists()
 
 
 def test_verify_plan_refuses_draw_stacks_past_the_memory_ceiling():
@@ -174,29 +179,35 @@ def test_verify_plan_refuses_draw_stacks_past_the_memory_ceiling():
 
 
 @pytest.mark.parametrize(
-    "command, module, target",
+    "command, module, target, start",
     [
-        (("verify", "--dims", "2,20000", "--trials", "1"), cli, "_draw_batch"),
-        (("search", "--n", "64", "--budget", "10"), qc.search, "_nelder_mead_max"),
+        (("verify", "--dims", "2,20000", "--trials", "1"),
+         qc.generators, "_draw_trials", "invalid plan: dim 20000 needs "),
+        (("search", "--n", "64", "--budget", "10"),
+         qc.search, "_nelder_mead_max", "error: n = 64 needs "),
+        (("sweep", "{instance}", "--steps", str(10**8)),
+         np, "linspace", "invalid sweep: 100000000 steps need "),
     ],
-    ids=["verify", "search"],
-)
+    ids=["verify", "search", "sweep"],
+)  # fmt: skip
 def test_a_run_past_the_memory_ceiling_exits_2_before_allocating(
-    tmp_path, monkeypatch, capsys, command, module, target
+    tmp_path, monkeypatch, capsys, pauli_file, command, module, target, start
 ):
     # verify --dims 20000 would ask for about 18 GiB of draws, search --n 64
-    # for a 1.1 GiB simplex and as much again for its first round.  The
-    # allocating call is patched to fail, so nothing large is allocated
-    # should the run not be refused.
+    # for a 1.1 GiB simplex and as much again for its first round, and a
+    # sweep of 10**8 steps for about 35 GB of reports.  The allocating call
+    # is patched to fail, so nothing large is allocated should the run not
+    # be refused.
     def refuse(*args, **kwargs):
         raise AssertionError("reached the allocation of an oversized run")
 
     monkeypatch.setattr(module, target, refuse)
     out = tmp_path / "out"
-    assert run_cli(*command, "--out", out) == 2
+    argv = [str(pauli_file) if part == "{instance}" else part for part in command]
+    assert run_cli(*argv, "--out", out) == 2
     (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith(("invalid plan: dim 20000 ", "error: n = 64 "))
-    assert "needs more than the 1 GiB limit" in line
+    assert line.startswith(start)
+    assert "more than the 1 GiB limit" in line
     assert not out.exists()
 
 
@@ -438,6 +449,24 @@ VERIFY_FUZZ_OPTIONS = {
                     ("0", "-1", "nan", "inf", "x")),
     "--workers": (("1", "4"), ("0", "-1", "x")),
 }  # fmt: skip
+# Accepted sweep and search runs stay small (steps <= 50, n <= 3, budget
+# <= 20); a larger value is drawn only where it is refused.
+SWEEP_FUZZ_OPTIONS = {
+    "--steps": (("1", "2", "11", "50"),
+                ("0", "-1", str(10**8), str(10**400), "x", "1.5", "")),
+    "--q-lo": (("-3", "-1", "0", "5e-324", "-1e300"),
+               ("1", "-1e308", "1e308", "nan", "inf", "-inf", "x")),
+    "--q-hi": (("3", "1", "1e-300", "1e300"),
+               ("-1", "1e308", "-1e308", "nan", "inf", "-inf", "x")),
+    "--format": (("csv", "json"), ("xml", "")),
+}  # fmt: skip
+SEARCH_FUZZ_OPTIONS = {
+    "--n": (("2", "3"), ("1", "0", "-2", "64", str(10**400), "x", "2.5")),
+    "--q": (("-2", "0", "0.5", "1", "1e-300", "1e300"),
+            ("1e308", "-1e308", "5e-324", "nan", "inf", "-inf", "x")),
+    "--budget": (("1", "5", "20"), ("0", "-1", "x", "1e3", "")),
+    "--seed": (("0", "7", str(2**64 - 1)), (str(2**64), "-1", "x")),
+}  # fmt: skip
 
 
 @contextlib.contextmanager
@@ -451,16 +480,46 @@ def working_directory(path):
 
 
 @st.composite
-def verify_options(draw):
-    odd = draw(st.sets(st.sampled_from(list(VERIFY_FUZZ_OPTIONS)), max_size=2))
+def fuzzed_options(draw, table, always=None):
+    # Up to two options take an odd value; ``always`` is always given.
+    odd = draw(st.sets(st.sampled_from(list(table)), max_size=2))
     options = {}
-    for name, (ordinary, extreme) in VERIFY_FUZZ_OPTIONS.items():
-        if name == "--trials" or name in odd or draw(st.booleans()):
+    for name, (ordinary, extreme) in table.items():
+        if name == always or name in odd or draw(st.booleans()):
             options[name] = draw(st.sampled_from(extreme if name in odd else ordinary))
     return options
 
 
-@given(verify_options())
+def run_fuzzed(argv, out):
+    """Run ``main`` on ``argv`` and check the exit contract of any run.
+
+    Returns the exit code and the stderr lines, NumPy warnings counted as
+    lines, or None when argparse refused the text with its usage.
+    """
+    err = io.StringIO()
+    with (
+        contextlib.redirect_stderr(err),
+        warnings.catch_warnings(record=True) as caught,
+    ):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            # argparse refuses text it cannot convert, with its usage.
+            assert exc.code == 2
+            assert "error: argument " in err.getvalue()
+            assert not out.exists()
+            return None
+    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert len(lines) == 1, lines
+        assert lines[0].startswith(("error:", "invalid")), lines
+        assert not out.exists()
+    return code, lines
+
+
+@given(fuzzed_options(VERIFY_FUZZ_OPTIONS, always="--trials"))
 @example({"--trials": "0", "--tolerance": "0"})
 @example({"--trials": str(2**32 + 1), "--dims": "2,0"})
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -469,27 +528,10 @@ def test_verify_on_fuzzed_options_exits_0_1_or_2(options):
     with tempfile.TemporaryDirectory() as tmp, working_directory(tmp):
         out = Path(tmp) / "run.csv"
         argv = ["verify", *(f"{k}={v}" for k, v in options.items()), "--out", str(out)]
-        err = io.StringIO()
-        with (
-            contextlib.redirect_stderr(err),
-            warnings.catch_warnings(record=True) as caught,
-        ):
-            warnings.simplefilter("always")
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                # argparse refuses text it cannot convert, with its usage.
-                assert exc.code == 2
-                assert "error: argument " in err.getvalue()
-                assert not out.exists()
-                return
-        lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
-        assert code in (0, 1, 2)
-        if code == 2:
-            assert len(lines) == 1, lines
-            assert lines[0].startswith(("error:", "invalid")), lines
-            assert not out.exists()
+        result = run_fuzzed(argv, out)
+        if result is None or result[0] == 2:
             return
+        code, lines = result
         trials = int(options["--trials"])
         dims = cli._parse_dims(options.get("--dims", "2,3,4"))
         rows = read_rows(out)
@@ -499,22 +541,80 @@ def test_verify_on_fuzzed_options_exits_0_1_or_2(options):
             assert lines == []
 
 
+FUZZED_COMMANDS = {
+    "sweep": fuzzed_options(SWEEP_FUZZ_OPTIONS),
+    "search": fuzzed_options(SEARCH_FUZZ_OPTIONS, always="--budget"),
+}
+
+
+@given(st.sampled_from(sorted(FUZZED_COMMANDS)).flatmap(
+    lambda command: st.tuples(st.just(command), FUZZED_COMMANDS[command])
+))
+@example(("sweep", {"--steps": str(10**8)}))
+@example(("search", {"--n": str(10**400), "--budget": "20"}))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_sweep_and_search_on_fuzzed_options_exit_0_1_or_2(case):
+    command, options = case
+    with tempfile.TemporaryDirectory() as tmp:
+        instance, out = Path(tmp) / "instance.json", Path(tmp) / "out"
+        qc.save_instance(
+            instance,
+            qc.make_density(np.diag([0.25, 0.75])),
+            qc.make_hermitian([[0.0, 1.0], [1.0, 0.0]]),
+            qc.make_hermitian([[0.0, -1.0j], [1.0j, 0.0]]),
+        )
+        given_options = [f"{k}={v}" for k, v in options.items()]
+        if command == "sweep":
+            given_options.insert(0, str(instance))
+        result = run_fuzzed([command, *given_options, "--out", str(out)], out)
+        if result is None or result[0] == 2:
+            return
+        code, lines = result
+        if command == "search":
+            # A violation aborts the search before anything is written.
+            assert code == 0 or not out.exists()
+            if code == 0:
+                assert len(lines) == 1 and lines[0].startswith("search: "), lines
+                document = json.loads(out.read_text())
+                assert set(document["search"]) == {
+                    "best_ratio", "evaluations", "trajectory"
+                }
+                qc.load_instance(out)
+            return
+        assert code == 0 and lines == []
+        steps = int(options.get("--steps", "11"))
+        grid = np.linspace(
+            float(options.get("--q-lo", "-1")), float(options.get("--q-hi", "1")), steps
+        )
+        if options.get("--format") == "json":
+            records = [json.loads(line) for line in out.read_text().splitlines()]
+            assert all(list(record) == list(CSV_COLUMNS) for record in records)
+            qs = [record["q"] for record in records]
+        else:
+            rows = read_rows(out)
+            assert all(len(row) == len(CSV_COLUMNS) for row in rows)
+            qs = [float(row[1]) for row in rows]
+        assert qs == list(grid)
+
+
 @pytest.mark.parametrize(
-    "command, target",
+    "command, module, target",
     [
-        (("verify", "--dims", "2", "--trials", "3"), "_draw_batch"),
-        (("search", "--n", "2", "--budget", "10"), "maximize_tightness"),
+        (("verify", "--dims", "2", "--trials", "3"), qc.generators, "_draw_trials"),
+        (("search", "--n", "2", "--budget", "10"), cli, "maximize_tightness"),
     ],
     ids=["verify", "search"],
 )
-def test_running_out_of_memory_exits_2(tmp_path, monkeypatch, capsys, command, target):
+def test_running_out_of_memory_exits_2(
+    tmp_path, monkeypatch, capsys, command, module, target
+):
     # A dimension too large for memory, e.g. verify --dims 100000, whose
     # first batch asks np.empty for 480 GB, raises MemoryError.  Patched
     # here, so nothing large is allocated.
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 480. GiB")
 
-    monkeypatch.setattr(cli, target, exhausted)
+    monkeypatch.setattr(module, target, exhausted)
     assert run_cli(*command, "--out", tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert err == "error: out of memory: Unable to allocate 480. GiB\n"

@@ -18,9 +18,9 @@ import pytest
 
 import qcbounds as qc
 from qcbounds import cli
-from qcbounds.bounds import _modulus, _traces
+from qcbounds.bounds import _modulus, _report, _trace_rows, _traces
 from qcbounds.errors import DegenerateCoefficient, NonFinite, QcboundsError
-from qcbounds.generators import _derived_streams
+from qcbounds.generators import _trial_batches
 
 from conftest import random_instance
 
@@ -214,10 +214,11 @@ def test_sweep_fields_are_python_floats():
 
 def test_verify_batch_fields_are_python_floats():
     for dim in (1, 2, 3, 8):
-        plan = cli.TrialPlan((dim,), 40, -3.0, 3.0, "mixed", 11, 1e-9, "csv")
-        indices = np.arange(0, 40, dtype=np.uint64)
-        streams = _derived_streams(plan.seed, indices, cli._TRIAL_STREAMS)
-        outcomes = list(cli._run_batch(plan, dim, 0, streams))
-        assert len(outcomes) == 40
-        for outcome in outcomes:
-            assert_python_floats(outcome.report)
+        reports = [
+            _report(traces, q)
+            for _, qs, stack in _trial_batches(11, (dim,), 40, -3.0, 3.0, True)
+            for q, traces in zip(qs, _trace_rows(stack))
+        ]
+        assert len(reports) == 40
+        for report in reports:
+            assert_python_floats(report)
