@@ -33,7 +33,7 @@ one matrix or a stack as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -130,7 +130,7 @@ class DensityMatrix:
         if np.any(np.diff(vals) < 0):
             raise InvalidSpectrum("eigenvalues must be ascending")
         if vals[0] < 0:
-            raise NotPositive(f"negative eigenvalue {vals[0]!r}")
+            raise NotPositive(f"negative eigenvalue {float(vals[0])!r}")
         total = float(vals.sum())
         if abs(total - 1.0) > TRACE_ATOL:
             raise TraceNotOne(f"eigenvalues sum to {total!r}")

@@ -3,11 +3,13 @@
 ``maximize_tightness`` runs a multi-start Nelder-Mead simplex search over
 an unconstrained parametrization of (state, A, B) at fixed q, maximising
 refined bound / variance product.  Every evaluation doubles as a stress
-test of the master inequality; a violation aborts the search with the
-offending instance attached to the raised error.
+test of the master inequality; a violation aborts the search with a
+``MasterInequalityViolation``, which holds the offending instance only as
+text in its message.
 
-The restarts run in lockstep: each step of every restart in flight asks
-for its points, and all of them are decoded into one stack of instances
+The restarts run in waves: each wave holds as many restarts as
+``_LOCKSTEP_FLOATS`` admits, and each step of every restart in it asks
+for its points, which are decoded into one stack of instances
 (``_decode_batch``, a ``hermitian._Instances``) and evaluated through
 ``bounds._trace_rows``, ``_report`` and ``_violated``, as ``verify``
 evaluates its batches.  The result is the one the restarts would give
@@ -60,9 +62,9 @@ SIMPLEX_DIAMETER_TOL = 1e-8
 SIMPLEX_STEP = 0.5
 # Budget is split evenly over max(4, budget // RESTART_SHARE) restarts.
 RESTART_SHARE = 2000
-# Restarts run in lockstep while their simplices, (d + 1) * d floats each
-# for d = n + 3 n^2 coordinates, fit in this many floats together (2 MiB):
-# 95 restarts at n = 4, 6 at n = 8, one at a time from n = 16 on.
+# One wave holds as many restarts as their simplices, (d + 1) * d floats
+# each for d = n + 3 n^2 coordinates, fit in this many floats together
+# (2 MiB): 95 restarts at n = 4, 6 at n = 8, one at a time from n = 11 on.
 _LOCKSTEP_FLOATS = 2**18
 
 
@@ -108,14 +110,17 @@ def maximize_tightness(
     Notes
     -----
     Each restart's simplex path depends only on its own scores, so the
-    restarts run in lockstep, as many at a time as ``_LOCKSTEP_FLOATS``
-    admits, and each round evaluates the points all of them ask for as
-    one stack.  The evaluation count, the trajectory and the best
-    instance are then replayed in restart order, so the result is the one
-    of running the restarts one after another.  The first error in that
-    order is raised, as a violation or a failed decode would have ended
-    the sequential run there: an error ends its restart and every later
-    one, while the earlier restarts run on.
+    restarts run in waves, taken in restart order as many at a time as
+    ``_LOCKSTEP_FLOATS`` admits.  A wave runs in lockstep, each round
+    evaluating the points all its restarts ask for as one stack, until
+    every restart in it has stopped.  The wave's evaluation counts,
+    trajectories and best instances are then folded in restart order, so
+    the result is the one of running the restarts one after another.  The
+    first error in that order is raised and no later wave starts, as a
+    violation or a failed decode would have ended the sequential run
+    there.  An error ends its own restart only: the rest of its wave runs
+    to its allowance first.  No search outside tests that inject errors
+    meets one, so that work is not cut short.
     """
     if n < 2:
         raise InvalidDimension(f"n must be >= 2, got {n}")
@@ -142,32 +147,19 @@ def maximize_tightness(
 
     best, instance, evals = -np.inf, None, 0
     trajectory: list[tuple[int, float]] = []
-    live: list[_Restart] = []
-    finished: dict[int, _Restart] = {}
-    started = folded = 0
-    while True:
-        while len(live) < window and started < stop:
-            start = rng.split(started).generator().standard_normal(dim_theta)
-            live.append(_Restart(started, start, share + (started < extra)))
-            started += 1
-        if not live:
-            break
-        _evaluate_round(live, n, q, cap)
-        failed = min((r.index for r in live if r.error is not None), default=stop)
-        # A restart past the first failed one would run after it; none does.
-        stop = min(stop, failed + 1)
-        running = []
-        for restart in live:
-            if restart.index >= stop:
-                continue
-            if restart.advance():
-                running.append(restart)
-            else:
-                finished[restart.index] = restart
-        live = running
-        # Replay the bookkeeping of every restart whose predecessors are done.
-        while folded in finished:
-            restart = finished.pop(folded)
+    for first in range(0, stop, window):
+        wave = [
+            _Restart(
+                rng.split(r).generator().standard_normal(dim_theta),
+                share + (r < extra),
+            )
+            for r in range(first, min(first + window, stop))
+        ]
+        live = wave
+        while live:
+            _evaluate_round(live, n, q, cap)
+            live = [restart for restart in live if restart.advance()]
+        for restart in wave:
             if restart.error is not None:
                 raise restart.error
             for used, score in restart.trajectory:
@@ -175,7 +167,6 @@ def maximize_tightness(
                     best, instance = score, restart.instance
                     trajectory.append((evals + used, score))
             evals += restart.used
-            folded += 1
 
     return SearchResult(
         best_ratio=float(best),
@@ -195,8 +186,7 @@ class _Restart:
     evaluations raised, which ends the restart.
     """
 
-    def __init__(self, index: int, start: np.ndarray, allowance: int) -> None:
-        self.index = index
+    def __init__(self, start: np.ndarray, allowance: int) -> None:
         self.allowance = allowance
         self.used = 0
         self.best = -np.inf
@@ -303,13 +293,6 @@ def _decode_batch(thetas: np.ndarray, n: int) -> _Instances:
     rho, vals = _density_arrays(spectra, frame)
     a, b = _symmetrised(blocks[:, 1]), _symmetrised(blocks[:, 2])
     return _Instances(rho, vals, frame, a, b)
-
-
-def _decode(
-    theta: np.ndarray, n: int
-) -> tuple[DensityMatrix, HermitianMatrix, HermitianMatrix]:
-    # One parameter vector: row 0 of a one-row stack.
-    return _decode_batch(theta[None], n).row(0)
 
 
 def _hermitian_blocks(thetas: np.ndarray, n: int) -> np.ndarray:

@@ -158,6 +158,13 @@ def test_verify_names_every_plan_problem_on_one_line(tmp_path, capsys):
         assert run_cli("verify", *flags, "--out", out) == 2
         assert capsys.readouterr().err.splitlines() == [line]
         assert not out.exists()
+    # argparse's choices stop these two before a plan is built.
+    plan = cli.TrialPlan((2,), 1, -1.0, 1.0, "sometimes", 0, 1e-9, "xml")
+    assert cli.cmd_verify(plan, out=out) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "invalid plan: unknown rank policy 'sometimes'; unknown output format 'xml'"
+    ]
+    assert not out.exists()
 
 
 def test_verify_plan_refuses_draw_stacks_past_the_memory_ceiling():
@@ -887,6 +894,12 @@ def test_sweep_rejects_a_q_span_that_overflows(pauli_file, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid sweep: ") and "q-hi - q-lo" in err
+    assert not out.exists()
+    # argparse's choices stop an unknown format before cmd_sweep.
+    assert cli.cmd_sweep(pauli_file, 0, 1, 3, "xml", out) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "invalid sweep: unknown format 'xml'"
+    ]
     assert not out.exists()
 
 

@@ -21,6 +21,8 @@ def test_rng_requires_unsigned_64bit():
         qc.SeededRng(2**64)
     with pytest.raises(DomainError):
         qc.SeededRng(0, -3)
+    with pytest.raises(DomainError):
+        qc.SeededRng(0, 0, (-1,))
     for index in (-1, 1.0, 0.5, "1", None):
         with pytest.raises(DomainError):
             qc.SeededRng(0).split(index)

@@ -29,6 +29,9 @@ def test_seventeen_digit_rendering():
     assert '"z": 1' in text
     parsed = json.loads(text)
     assert parsed["x"] == 1.0 / 3.0
+    assert render_document({"a": True, "b": None}) == '{"a": true, "b": null}'
+    with pytest.raises(TypeError, match="cannot render object as JSON"):
+        render_document({"x": object()})
 
 
 def test_rendering_is_canonical(tmp_path):

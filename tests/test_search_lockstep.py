@@ -16,7 +16,7 @@ import pytest
 
 import qcbounds as qc
 from qcbounds import search
-from qcbounds.errors import DomainError, MasterInequalityViolation
+from qcbounds.errors import DomainError, MasterInequalityViolation, NonFinite
 
 from test_trust_boundary import arrays, loop_decode, parts
 
@@ -190,8 +190,8 @@ def test_lockstep_equals_sequential_loop_through_shrinks(
 def test_lockstep_equals_sequential_loop_with_restarts_waiting(
     monkeypatch, window, n, budget
 ):
-    # More restarts than the in-flight bound admits: the rest wait for a
-    # slot, and each joins as an earlier one ends.
+    # More restarts than the in-flight bound admits: they run in waves of
+    # ``window``, and each wave starts once the one before it has ended.
     d = n + 3 * n * n
     monkeypatch.setattr(search, "_LOCKSTEP_FLOATS", window * (d + 1) * d)
     both(n, 0.5, budget, seed=window)
@@ -213,8 +213,16 @@ def inflated(report):
     return report._replace(refined=refined, slack=report.product - refined)
 
 
-@pytest.mark.parametrize("window", [None, 1])
-def test_violation_order_follows_the_sequential_loop(monkeypatch, window):
+@pytest.mark.parametrize(
+    "window, fault",
+    [
+        pytest.param(None, "inflate", id="None"),
+        pytest.param(1, "inflate", id="1"),
+        pytest.param(None, "raise", id="None-raise"),
+        pytest.param(1, "raise", id="1-raise"),
+    ],
+)
+def test_violation_order_follows_the_sequential_loop(monkeypatch, window, fault):
     n, q, budget, seed = 2, 0.5, 800, 4
     if window is not None:
         d = n + 3 * n * n
@@ -229,19 +237,24 @@ def test_violation_order_follows_the_sequential_loop(monkeypatch, window):
         return report
 
     reference_search(n, q, budget, qc.SeededRng(seed), on_report=record)
-    # In lockstep, restarts 2 and 3 reach their inflated rows before
-    # restart 1 does; run one by one, restart 1 comes first.
+    # In lockstep, restarts 2 and 3 reach their faulty rows before
+    # restart 1 does; run one by one, restart 1 comes first.  A fault
+    # either inflates the report into a violation or makes ``_report``
+    # raise.
     first_inflated = {1: 120, 2: 10, 3: 60}
+    error = MasterInequalityViolation if fault == "inflate" else NonFinite
     hits = []
 
     def inflate(report):
         restart, step = owner.get(report_key(report), (None, 0))
         if restart in first_inflated and step >= first_inflated[restart]:
             hits.append((restart, step))
+            if fault == "raise":
+                raise NonFinite(f"restart {restart} step {step}")
             return inflated(report)
         return report
 
-    with pytest.raises(MasterInequalityViolation) as want:
+    with pytest.raises(error) as want:
         reference_search(
             n, q, budget, qc.SeededRng(seed), on_report=lambda r, rep: inflate(rep)
         )
@@ -249,10 +262,12 @@ def test_violation_order_follows_the_sequential_loop(monkeypatch, window):
 
     honest = search._report
     monkeypatch.setattr(search, "_report", lambda t, q: inflate(honest(t, q)))
-    with pytest.raises(MasterInequalityViolation) as got:
+    with pytest.raises(error) as got:
         qc.maximize_tightness(n, q, budget, qc.SeededRng(seed))
     assert str(got.value) == str(want.value)
     assert (1, 120) in hits[1:]
+    if fault == "raise":
+        assert str(got.value) == "restart 1 step 120"
 
 
 def test_failed_stacked_decode_is_found_row_by_row():

@@ -143,7 +143,7 @@ def test_decode_equals_loop_decoder(case):
                 == loop_hermitian_from_reals(coords, n).tobytes()
             )
         expected = loop_decode(theta, n)
-        for got in (decoded.row(row), search._decode(theta, n)):
+        for got in (decoded.row(row), search._decode_batch(theta[None], n).row(0)):
             for value, want in zip(got, expected, strict=True):
                 assert parts(value) == parts(want)
 
@@ -154,7 +154,8 @@ def test_decode_handles_signed_zeros_and_huge_coordinates():
     theta[::2] = -0.0
     theta[n + n * n :: 5] = 1e300
     theta[n + n * n + 1 :: 7] = -1e300
-    for got, want in zip(search._decode(theta, n), loop_decode(theta, n)):
+    decoded = search._decode_batch(theta[None], n).row(0)
+    for got, want in zip(decoded, loop_decode(theta, n)):
         assert parts(got) == parts(want)
 
 
@@ -170,13 +171,13 @@ def test_decode_rejects_frame_coordinates_without_eigenbasis():
         theta = np.zeros(n + 3 * k)
         theta[n : n + k] = frame
         with np.errstate(all="ignore"), pytest.raises(DomainError) as excinfo:
-            search._decode(theta, n)
+            search._decode_batch(theta[None], n).row(0)
         assert isinstance(excinfo.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_generated_and_decoded_arrays_are_read_only():
     state, a, b = random_instance(4, 3, rank=2)
-    decoded = search._decode(np.linspace(-1.0, 1.0, 2 + 3 * 4), 2)
+    decoded = search._decode_batch(np.linspace(-1.0, 1.0, 2 + 3 * 4)[None], 2).row(0)
     for value in (state, a, b, *decoded):
         for arr in arrays(value):
             assert arr.flags.writeable is False
@@ -295,6 +296,23 @@ def test_public_constructors_still_validate(tmp_path):
         qc.DensityMatrix(np.diag([0.25, 0.75]), np.array([0.25, 0.75]), skewed)
     with pytest.raises(DimensionMismatch):
         qc.DensityMatrix(np.diag([0.25, 0.75]), np.array([1.0]), eye)
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    nan_frame = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
+    refusals = [
+        ([np.nan, 0.75], eye, NonFinite, "eigenvalues contain non-finite entries"),
+        ([0.75, 0.25], eye, InvalidSpectrum, "eigenvalues must be ascending"),
+        ([-0.25, 1.25], eye, NotPositive, "negative eigenvalue -0.25"),
+        ([0.25, 0.5], eye, TraceNotOne, "eigenvalues sum to 0.75"),
+        ([0.25, 0.75], np.eye(3), DimensionMismatch,
+         "eigenvectors must match the matrix dimension"),
+        ([0.25, 0.75], nan_frame, NonFinite, "eigenvectors contain non-finite entries"),
+        ([0.25, 0.75], swap, InvalidSpectrum,
+         "eigendecomposition does not reproduce the matrix"),
+    ]  # fmt: skip
+    for vals, frame, error, message in refusals:
+        with pytest.raises(error) as excinfo:
+            qc.DensityMatrix(np.diag([0.25, 0.75]), np.array(vals), frame)
+        assert str(excinfo.value) == message
 
     path = tmp_path / "bad.json"
     qc.save_instance(path, *random_instance(8, 2))
