@@ -33,12 +33,26 @@ rest.  ``sweep_q`` hands it a whole grid; ``bound_report``, ``verify``
 and ``search`` call its one-q case ``_report``.  ``q_trace_term`` forms
 one bracket trace from centred observables, through the same trace
 routine as the kernel.
+
+The six traces of the pass do not depend on each other.  When one of
+them covers at least ``_SPLIT_TRIPLES = 2**16`` triple products (m n^3
+for m instances of dim n: the full n = 16 and n = 32 batches of
+``verify``, any instance at n >= 41) and the process may run on more
+than one CPU, three of them run on a short-lived worker thread while the
+calling thread runs the other three; ``np.einsum`` releases the GIL.
+Each trace is the same einsum call either way, so the records keep
+their bytes.  On a 2-core x86 box that took the kernel on an n = 32
+batch of four from 2.79 to 1.78 ms (``BENCH_25.json`` has what it does
+to ``verify`` at n = 32).  Smaller passes stay on one thread, where
+starting one costs more than it saves.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import os
+import threading
 from collections.abc import Iterator
 from typing import NamedTuple
 
@@ -62,6 +76,22 @@ RATIO_FLOOR = 1e-14
 # entries, 64 KiB of complex128.  ``verify`` and ``search`` cut their
 # batches to it: 256 instances at n = 4, four at n = 32.
 _BATCH_ENTRIES = 4096
+# _trace_kernel runs three of its six traces on a second thread once one
+# trace covers this many triple products (m n^3).  Kernel alone, median of
+# 40 on a 2-core x86 box, serial -> split: (m, n) = (4, 32) 2.79 -> 1.78
+# ms, (16, 16) 1.77 -> 1.22 ms, (1, 64) 5.8 -> 4.4 ms, (64, 8) 0.99 ->
+# 0.75 ms.  Below about 2**14 the thread's start and join (about 80 us)
+# cost more than it saves: (64, 4) 0.24 -> 0.42 ms, (16, 8) 0.26 -> 0.40
+# ms.  At 2**15 the n = 8 batches of a mixed-dim verify run were split
+# too, for -0.6 % trials/s and +0.37 MiB peak RSS, so the cut sits at
+# 2**16: n = 32 batches, n = 16 batches and any instance at n >= 41.
+_SPLIT_TRIPLES = 2**16
+# CPUs this process may run on, read once; with one, nothing is split.
+_CPUS = (
+    len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1
+)
 # ``verify``, ``sweep`` and ``search`` refuse, before allocating, a run
 # whose draw stacks (one batch), whose reports or whose simplex and first
 # round would pass this many bytes: ``verify --dims 20000`` would ask for
@@ -124,7 +154,9 @@ def robertson_bound(
     """Return the classical lower bound, one quarter of |Tr[rho [A,B]]|^2.
 
     Centring drops out of a commutator trace, so the raw observables are
-    used directly.
+    used directly, unless their trace is not finite, as when a huge
+    multiple of the identity overflows it; the centred observables give
+    the trace then.
     """
     return _robertson(_traces(state, a, b))
 
@@ -287,8 +319,14 @@ class _Traces(NamedTuple):
 
 
 def _robertson(t: _Traces) -> float:
-    # robertson of the instance read by t.
-    return 0.25 * _squared(_modulus(t.commutator))
+    # robertson of the instance read by t.  A huge multiple of the identity
+    # in an observable can overflow the raw trace to inf or NaN; the
+    # centred F - B is the same number in exact arithmetic, and is read
+    # only then, so every finite raw trace keeps its bytes.
+    magnitude = _modulus(t.commutator)
+    if not math.isfinite(magnitude):
+        magnitude = _modulus(complex(t.forward - t.backward))
+    return 0.25 * _squared(magnitude)
 
 
 def _naive(t: _Traces, aq: float, square: float | None = None) -> float:
@@ -394,17 +432,54 @@ def _trace_kernel(rho, vals, a, b) -> tuple:
     # spectrum) or a stack of them.  Returns the columns second moments of
     # A0 and B0, Tr[rho A0 B0], Tr[rho B0 A0], Tr[rho [A,B]], lambda_min
     # and lambda_max: NumPy scalars for one instance, arrays for a stack.
+    # The six traces are independent.  Where one covers _SPLIT_TRIPLES
+    # triple products (rho.size * n, m n^3 for m rows) and a second CPU
+    # is available, _split_traces makes the same six einsum calls on two
+    # threads, so every column keeps its bytes.
     a0 = _centred(rho, a)
     b0 = _centred(rho, b)
+    pairs = ((a0, a0), (b0, b0), (a0, b0), (b0, a0), (a, b), (b, a))
+    if _CPUS > 1 and rho.size * rho.shape[-1] >= _SPLIT_TRIPLES:
+        traces = _split_traces(rho, pairs)
+    else:
+        traces = [_trace3(rho, x, y) for x, y in pairs]
+    second_a, second_b, forward, backward, raw_ab, raw_ba = traces
     return (
-        _trace3(rho, a0, a0).real,
-        _trace3(rho, b0, b0).real,
-        _trace3(rho, a0, b0),
-        _trace3(rho, b0, a0),
-        _trace3(rho, a, b) - _trace3(rho, b, a),
+        second_a.real,
+        second_b.real,
+        forward,
+        backward,
+        raw_ab - raw_ba,
         vals[..., 0],
         vals[..., -1],
     )
+
+
+def _split_traces(rho, pairs) -> list:
+    # _trace3 of each (x, y) of ``pairs``, the last three on a worker
+    # thread while this thread runs the first three; np.einsum releases
+    # the GIL.  The worker runs nothing but _trace3: np.errstate is
+    # per-thread, so every step that can raise or warn on a floating-point
+    # error stays on the calling thread.  The worker's exception, if any,
+    # is raised here after the join.
+    theirs: list = []
+    failure: list = []
+
+    def work() -> None:
+        try:
+            theirs.extend(_trace3(rho, x, y) for x, y in pairs[3:])
+        except BaseException as exc:  # handed to the calling thread
+            failure.append(exc)
+
+    worker = threading.Thread(target=work, daemon=True)
+    worker.start()
+    try:
+        mine = [_trace3(rho, x, y) for x, y in pairs[:3]]
+    finally:
+        worker.join()
+    if failure:
+        raise failure[0]
+    return mine + theirs
 
 
 def _row(dim: int, row) -> _Traces:

@@ -344,12 +344,14 @@ def _nelder_mead_max(start: np.ndarray):
     verts[np.arange(1, d + 1), np.arange(d)] += SIMPLEX_STEP
     vals = -(yield verts)
     while True:
-        order = np.argsort(vals, kind="stable")
+        order = vals.argsort(kind="stable")
         verts, vals = verts[order], vals[order]
-        diameter = float(np.max(np.abs(verts[1:] - verts[0])))
+        diameter = abs(verts[1:] - verts[0]).max()
         if diameter < SIMPLEX_DIAMETER_TOL:
             return
-        centroid = verts[:-1].mean(axis=0)
+        # What .mean(axis=0) computes, a sum then a division by the
+        # count, without its Python-level dispatch.
+        centroid = np.add.reduce(verts[:-1], axis=0) / d
         reflected = centroid + alpha * (centroid - verts[-1])
         (f_reflected,) = -(yield reflected[None])
         if f_reflected < vals[0]:

@@ -13,7 +13,7 @@ and one-at-a-time LAPACK, matmul and einsum calls was measured on NumPy
 import io
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qcbounds as qc
@@ -27,7 +27,10 @@ from qcbounds.bounds import (
 )
 from qcbounds.generators import _derived_streams
 
-DIMS = [1, 2, 3, 4, 5, 6, 7, 8, 32]
+# Full batches at n = 16 and n = 64 (and n = 32 with four rows) are
+# large enough for the trace kernel to run half its traces on a second
+# thread; the single-instance reference at n = 16 runs them all on one.
+DIMS = [1, 2, 3, 4, 5, 6, 7, 8, 16, 32, 64]
 
 
 def reference_q_and_rank(plan, dim, index):
@@ -75,7 +78,27 @@ def batches(draw):
     return plan, dim, first, size
 
 
+def full_batch(dim, seed):
+    # One full batch of dim ``dim`` from trial 0.  The examples below run
+    # one at n = 16 and one at n = 64, so every run covers both shapes the
+    # kernel splits between two threads.
+    cap = min(_batch_rows(dim), generators._CHUNK_TRIALS)
+    plan = cli.TrialPlan(
+        dims=(dim,),
+        trials_per_dim=cap,
+        q_lo=-3.0,
+        q_hi=3.0,
+        rank_policy="mixed",
+        seed=seed,
+        tolerance_rel=1e-9,
+        output_format="csv",
+    )
+    return plan, dim, 0, cap
+
+
 @given(batches())
+@example(full_batch(16, 5))
+@example(full_batch(64, 6))
 @settings(max_examples=40, deadline=None)
 def test_batched_rows_equal_reference_path(case):
     plan, dim, first, size = case

@@ -11,6 +11,7 @@ field of a report is a Python float, which the record formatter writes
 as its ``repr``.
 """
 
+import json
 import math
 
 import numpy as np
@@ -43,13 +44,6 @@ FAILING = {
         QUARTER, ROOT_MAX * SX, ROOT_MAX * (SX + SY), [0.0, -1.0, 0.5, 2.0],
         0.0, NonFinite, "modulus of trace term",
     ),
-    # A huge multiple of the identity in A: the variances and the bounds
-    # on the centred observables stay finite, but the raw commutator
-    # trace robertson reads is NaN.
-    "robertson": (
-        QUARTER, 1e300 * np.eye(2) + SX, 1e10 * (SY + np.diag([1.0, -1.0])),
-        [0.5, 2.0, 1e200], 0.5, NonFinite, "robertson is nan",
-    ),
     # A near-uniform spectrum at |q| = 1: an infinite coefficient.
     "degenerate": (
         np.diag([0.5 - 1e-8, 0.5 + 1e-8]), SX, SY, [0.0, 0.5, 1.0, 2.0, -1.0],
@@ -69,9 +63,21 @@ FAILING = {
     ),
 }  # fmt: skip
 
+# Instances at the edge of the float range that every q of their grid
+# evaluates: (rho, A, B, grid).
+FINITE = {
+    # A huge multiple of the identity in A: the raw commutator trace is
+    # NaN, so robertson reads the centred one, 1/4 |-1e10 i|^2 exactly.
+    "robertson": (
+        QUARTER, 1e300 * np.eye(2) + SX, 1e10 * (SY + np.diag([1.0, -1.0])),
+        [0.5, 2.0, 1e200],
+    ),
+}  # fmt: skip
+SHIFTED_ROBERTSON = 2.5e19
 
-def failing_instance(name):
-    rho, a, b, grid, q, error, pattern = FAILING[name]
+
+def edge_instance(name):
+    rho, a, b, grid = (FAILING[name] if name in FAILING else FINITE[name])[:4]
     return (qc.make_density(rho), qc.make_hermitian(a), qc.make_hermitian(b)), grid
 
 
@@ -99,7 +105,7 @@ def per_q_error(state, a, b, q):
 
 @pytest.mark.parametrize("name", sorted(FAILING))
 def test_family_fails_where_named(name):
-    instance, _ = failing_instance(name)
+    instance, _ = edge_instance(name)
     _, _, _, _, q, error, pattern = FAILING[name]
     with np.errstate(all="ignore"):
         expected = per_q_error(*instance, q)
@@ -109,10 +115,21 @@ def test_family_fails_where_named(name):
     assert str(raised.value) == str(expected)
 
 
-@pytest.mark.parametrize("name", sorted(FAILING))
+def test_robertson_is_finite_on_a_large_identity_shift():
+    instance, grid = edge_instance("robertson")
+    with np.errstate(all="ignore"):
+        assert qc.robertson_bound(*instance) == SHIFTED_ROBERTSON
+        for q in grid:
+            assert per_q_error(*instance, q) is None
+            report = qc.bound_report(*instance, q)
+            assert report.robertson == SHIFTED_ROBERTSON
+            assert (report.var_a, report.var_b) == (1.0, 1.75e20)
+
+
+@pytest.mark.parametrize("name", sorted(FAILING) + sorted(FINITE))
 def test_sweep_raises_what_its_first_failing_point_raises(name):
     # Every suffix of the grid, so each point is the first one once.
-    instance, grid = failing_instance(name)
+    instance, grid = edge_instance(name)
     with np.errstate(all="ignore"):
         for start in range(len(grid)):
             points = grid[start:]
@@ -130,7 +147,7 @@ def test_sweep_raises_what_its_first_failing_point_raises(name):
 
 @pytest.mark.parametrize("name", sorted(FAILING))
 def test_sweep_cli_writes_nothing_for_a_failing_instance(name, tmp_path, capsys):
-    instance, grid = failing_instance(name)
+    instance, grid = edge_instance(name)
     path = tmp_path / "instance.json"
     qc.save_instance(path, *instance)
     for output_format in ("csv", "json"):
@@ -145,6 +162,22 @@ def test_sweep_cli_writes_nothing_for_a_failing_instance(name, tmp_path, capsys)
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.out == ""
         assert not out.exists()
+
+
+def test_sweep_cli_writes_robertson_on_a_large_identity_shift(tmp_path, capsys):
+    instance, grid = edge_instance("robertson")
+    path = tmp_path / "instance.json"
+    qc.save_instance(path, *instance)
+    out = tmp_path / "sweep.json"
+    code = cli.main(
+        ["sweep", str(path), "--q-lo", "0", "--q-hi", repr(max(grid)),
+         "--steps", "3", "--format", "json", "--out", str(out)]
+    )  # fmt: skip
+    assert code == 0
+    assert capsys.readouterr() == ("", "")
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r["q"] for r in records] == [0.0, 5e199, 1e200]
+    assert [r["robertson"] for r in records] == [SHIFTED_ROBERTSON] * 3
 
 
 def stale_erange():
@@ -170,7 +203,7 @@ def test_nan_trace_terms_raise_alike_after_a_stale_overflow(name):
     # abs of a NaN term used to raise OverflowError when an earlier
     # overflow left errno at ERANGE, so the error depended on what ran
     # before.
-    instance, grid = failing_instance(name)
+    instance, grid = edge_instance(name)
     messages = set()
     with np.errstate(all="ignore"):
         for q in grid:
