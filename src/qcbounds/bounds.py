@@ -24,7 +24,10 @@ The pass is one kernel, ``_trace_kernel``, that takes one instance or a
 stack of them.  ``_traces`` runs it on one instance; ``verify`` and
 ``search`` run it once per stack of instances (``hermitian._Instances``)
 through ``_trace_rows`` and judge the master inequality with
-``_violated``.  Each field has one per-q path on top of the pass:
+``_violated``.  Both hand the kernel's columns on as Python numbers
+(``_row``), so everything after the kernel is Python float and complex
+arithmetic: the same bits as on NumPy scalars, at about a quarter of the
+cost per bracket.  Each field has one per-q path on top of the pass:
 ``_robertson``, ``_naive`` and ``_refined``, which the one-bound public
 functions call and which one scalar layer, ``_reports``, combines.  It
 evaluates and checks the fields that read no q (``product`` and
@@ -309,8 +312,10 @@ class _Traces(NamedTuple):
     dim: int
     var_a: float
     var_b: float
-    # NumPy scalars, so a bracket F - q B rounds exactly as q_trace_term
-    # of the centred observables at q.
+    # Python numbers, so every per-q bracket F - |q| B is plain Python
+    # arithmetic.  It rounds exactly as q_trace_term's NumPy scalars do:
+    # both multiply a float by a complex as (x + 0j) * z, re re - im im and
+    # re im + im re, without FMA, then subtract part by part.
     forward: complex  # Tr[rho A0 B0] of the centred observables
     backward: complex  # Tr[rho B0 A0]
     commutator: complex  # Tr[rho [A,B]] of the raw observables
@@ -325,7 +330,7 @@ def _robertson(t: _Traces) -> float:
     # only then, so every finite raw trace keeps its bytes.
     magnitude = _modulus(t.commutator)
     if not math.isfinite(magnitude):
-        magnitude = _modulus(complex(t.forward - t.backward))
+        magnitude = _modulus(t.forward - t.backward)
     return 0.25 * _squared(magnitude)
 
 
@@ -344,10 +349,10 @@ def _naive(t: _Traces, aq: float, square: float | None = None) -> float:
     return _naive_form(aq, t.forward, t.backward)
 
 
-def _naive_form(aq: float, first, second) -> float:
+def _naive_form(aq: float, first: complex, second: complex) -> float:
     # |first - aq second|^2 / (1 + aq)^2.
     denominator = (1.0 + aq) ** 2
-    return _squared(_modulus(complex(first - aq * second))) / denominator
+    return _squared(_modulus(first - aq * second)) / denominator
 
 
 def _refined(t: _Traces, q: float, aq: float) -> tuple[float, float | None]:
@@ -363,13 +368,15 @@ def _refined(t: _Traces, q: float, aq: float) -> tuple[float, float | None]:
     return _weighted(t, aq, t.forward, t.backward, q)
 
 
-def _weighted(t: _Traces, aq: float, first, second, q: float) -> tuple[float, float]:
+def _weighted(
+    t: _Traces, aq: float, first: complex, second: complex, q: float
+) -> tuple[float, float]:
     # C(aq) |first - aq second|^2 and the square |first - aq second|^2.
     # The coefficient comes first, so a |q| that overflows it never forms
     # the bracket.  An infinite coefficient is tested before the square is
     # formed, so a large term raises DegenerateCoefficient, not NonFinite.
     coefficient = _coefficient(aq, t.lambda_min, t.lambda_max)
-    magnitude = _modulus(complex(first - aq * second))
+    magnitude = _modulus(first - aq * second)
     if math.isinf(coefficient):
         if magnitude < DEGENERATE_TERM:
             return 0.0, _squared(magnitude)
@@ -420,10 +427,13 @@ def _batch_rows(n: int) -> int:
 def _trace_rows(stack: _Instances) -> Iterator[_Traces]:
     """Yield the ``_Traces`` of each instance of ``stack``, in order.
 
-    Row ``i`` equals ``_traces`` of ``stack.row(i)`` bit for bit.
+    Row ``i`` equals ``_traces`` of ``stack.row(i)`` bit for bit, in value
+    and in type.  Each kernel column becomes Python numbers in one
+    ``tolist`` call, cheaper than a NumPy scalar per entry.
     """
     dim = stack.rho.shape[-1]
-    for row in zip(*_trace_kernel(stack.rho, stack.vals, stack.a, stack.b)):
+    columns = _trace_kernel(stack.rho, stack.vals, stack.a, stack.b)
+    for row in zip(*[column.tolist() for column in columns]):
         yield _row(dim, row)
 
 
@@ -483,13 +493,19 @@ def _split_traces(rho, pairs) -> list:
 
 
 def _row(dim: int, row) -> _Traces:
+    """Return the ``_Traces`` of one row of kernel columns.
+
+    The row holds NumPy scalars (``_traces``) or Python numbers
+    (``_trace_rows``); either way every field comes out a Python
+    ``float`` or ``complex`` of the same value.
+    """
     second_a, second_b, forward, backward, commutator, lambda_min, lambda_max = row
     return _Traces(
         dim=dim,
         var_a=max(float(second_a), 0.0),
         var_b=max(float(second_b), 0.0),
-        forward=forward,
-        backward=backward,
+        forward=complex(forward),
+        backward=complex(backward),
         commutator=complex(commutator),
         lambda_min=float(lambda_min),
         lambda_max=float(lambda_max),

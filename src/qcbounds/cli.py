@@ -217,7 +217,8 @@ def cmd_sweep(
         )
         return 2
     state, a, b = load_instance(instance_file)
-    grid = np.linspace(q_lo, q_hi, steps)
+    # Python floats, which sweep_q reads without a NumPy scalar per point.
+    grid = np.linspace(q_lo, q_hi, steps).tolist()
     reports = sweep_q(state, a, b, grid)
     cells = _instance_cells(output_format, reports[0])
     with _out_stream(out) as stream:

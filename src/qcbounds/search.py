@@ -336,8 +336,13 @@ def _nelder_mead_max(start: np.ndarray):
     # minimising the negated score.  A generator: it yields each stack of
     # points it needs, the initial simplex, one reflect, expand or
     # contract point, or the shrunk vertices, and is sent their scores.
-    # It returns once the simplex diameter falls below
-    # SIMPLEX_DIAMETER_TOL; the caller caps the evaluations.
+    # It returns once the simplex diameter, the largest coordinate gap
+    # between the best vertex and any other, falls below
+    # SIMPLEX_DIAMETER_TOL; the caller caps the evaluations.  The worst
+    # vertex's gap is tested first, in O(d): it is at most the diameter,
+    # so when it is not below the tolerance neither is the diameter, and
+    # the O(d^2) maximum over all vertices runs only when it is.  A NaN
+    # fails either test.
     d = start.size
     alpha, gamma, beta, delta = 1.0, 2.0, 0.5, 0.5
     verts = np.tile(start, (d + 1, 1))
@@ -345,9 +350,11 @@ def _nelder_mead_max(start: np.ndarray):
     vals = -(yield verts)
     while True:
         order = vals.argsort(kind="stable")
-        verts, vals = verts[order], vals[order]
-        diameter = abs(verts[1:] - verts[0]).max()
-        if diameter < SIMPLEX_DIAMETER_TOL:
+        verts, vals = verts.take(order, axis=0), vals.take(order)
+        if (
+            abs(verts[-1] - verts[0]).max() < SIMPLEX_DIAMETER_TOL
+            and abs(verts[1:] - verts[0]).max() < SIMPLEX_DIAMETER_TOL
+        ):
             return
         # What .mean(axis=0) computes, a sum then a division by the
         # count, without its Python-level dispatch.

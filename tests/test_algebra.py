@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,8 +118,9 @@ def test_commutator_trace_is_imaginary(seed, n):
 )
 @settings(max_examples=40, deadline=None)
 def test_q_trace_term_equals_the_bracket_of_the_evaluation_pass(seed, n, q):
-    # The bounds form their brackets from the pass's NumPy scalars F and B,
-    # which round exactly as q_trace_term of the centred observables does.
+    # The bounds form their brackets in Python arithmetic from the pass's
+    # F and B, Python complex numbers; q_trace_term forms the same bracket
+    # from NumPy scalars.  The two must round alike.
     state, a, b = random_instance(seed, n)
     t = bounds._traces(state, a, b)
     direct = qc.q_trace_term(state, qc.center(state, a), qc.center(state, b), q)
@@ -126,3 +129,41 @@ def test_q_trace_term_equals_the_bracket_of_the_evaluation_pass(seed, n, q):
         bracket.real.hex(),
         bracket.imag.hex(),
     )
+
+
+# Parts of a bracket operand: signed zeros, subnormals, the edges of the
+# float range, infinities and NaN, then any float at all.
+EDGE_PARTS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, -1e-300, 1e300,
+              -1e300, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan]  # fmt: skip
+PARTS = st.one_of(st.sampled_from(EDGE_PARTS), st.floats())
+COMPLEXES = st.builds(complex, PARTS, PARTS)
+MAGNITUDES = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 3.0, 1e200, 5e-324]),
+    st.floats(min_value=0.0, allow_infinity=False),
+)
+
+
+def modulus_outcome(z):
+    # The modulus the records read, bounds._modulus (Python's abs, with a
+    # NaN part giving NaN whatever errno an earlier overflow left), as its
+    # hex, or the type of what it raises.
+    try:
+        return bounds._modulus(z).hex()
+    except NonFinite as exc:
+        return type(exc)
+
+
+@given(COMPLEXES, COMPLEXES, MAGNITUDES)
+@settings(max_examples=2000, deadline=None, derandomize=True)
+def test_python_bracket_rounds_as_the_numpy_bracket(forward, backward, aq):
+    # The scalar layer forms F - |q| B from Python numbers; q_trace_term
+    # and the layer before it formed it from NumPy complex128 scalars.
+    # Both multiply a float by a complex as (x + 0j) * z, without FMA.
+    with np.errstate(all="ignore"):
+        numpy_bracket = complex(np.complex128(forward) - aq * np.complex128(backward))
+    python_bracket = forward - aq * backward
+    assert (numpy_bracket.real.hex(), numpy_bracket.imag.hex()) == (
+        python_bracket.real.hex(),
+        python_bracket.imag.hex(),
+    )
+    assert modulus_outcome(numpy_bracket) == modulus_outcome(python_bracket)

@@ -209,6 +209,28 @@ def test_report_contract(mixed_qubit, pauli_x, pauli_y):
     assert hash(again) == hash(report)
 
 
+@pytest.mark.parametrize(
+    "product, slack, violated",
+    [
+        # Exactly at the tolerance, -rtol * product: not violated.
+        (4.0, -2.0, False),
+        # Within the tolerance scaled by the product, past it divided by
+        # the product.
+        (4.0, -1.0, False),
+        # Past the tolerance at a product of 1.5, within it at 2.
+        (1.5, -0.8, True),
+    ],
+)
+def test_violation_rule_scales_the_tolerance_by_the_product(
+    mixed_qubit, pauli_x, pauli_y, product, slack, violated
+):
+    # _violated reads only the slack and the product of a report; the
+    # values are exact in binary, so each case sits where it is meant to.
+    report = qc.bound_report(mixed_qubit, pauli_x, pauli_y, 0.5)
+    report = report._replace(product=product, slack=slack)
+    assert bounds._violated(report, 0.5) is violated
+
+
 @pytest.mark.parametrize("q", [0.0, 0.5, 1.0, -1.0, 3.0])
 def test_overflowing_variances_raise_non_finite_product(mixed_qubit, q):
     a = qc.make_hermitian(1e200 * np.array([[0.0, 1.0], [1.0, 0.0]]))

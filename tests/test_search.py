@@ -16,6 +16,7 @@ from qcbounds.errors import (
 )
 
 from conftest import random_instance
+from test_search_lockstep import reference_nelder_mead_max
 
 
 def test_tightness_ratio_equality_instance(mixed_qubit, pauli_x, pauli_y):
@@ -112,6 +113,59 @@ def test_search_is_deterministic():
     assert first.evaluations == second.evaluations
     assert first.trajectory == second.trajectory
     assert np.array_equal(first.best_instance[0].mat, second.best_instance[0].mat)
+
+
+def drive_simplex(start, score):
+    # Every stack of points _nelder_mead_max requests until it returns,
+    # each answered with its scores.
+    steps = search._nelder_mead_max(start)
+    requests = []
+    request = next(steps)
+    while True:
+        requests.append(request.copy())
+        try:
+            request = steps.send(np.array([score(x) for x in request]))
+        except StopIteration:
+            return requests
+
+
+def concave_score(x):
+    # A smooth concave score with its maximum at (0.3, -0.7, 1.1).
+    return -float(np.sum(np.array([1.0, 2.0, 3.0]) * (x - [0.3, -0.7, 1.1]) ** 2))
+
+
+@pytest.mark.parametrize(
+    "start", [[1.0, 2.0, -1.5], [0.3, -0.7, 1.1], [-4.0, 0.25, 9.0]]
+)
+def test_simplex_stops_where_the_full_diameter_test_stops(start):
+    # The generator tests the worst vertex's gap before the full O(d^2)
+    # diameter; the reference takes the full diameter at every step.
+    start = np.array(start)
+    requests = drive_simplex(start, concave_score)
+    points = []
+
+    def evaluate(x):
+        points.append(np.array(x))
+        return concave_score(x)
+
+    reference_nelder_mead_max(evaluate, start, 10**6)
+    assert len(points) < 10**6  # the reference stopped on its diameter
+    requested = np.concatenate(requests)
+    assert requested.shape == (len(points), 3)
+    assert requested.tobytes() == np.array(points).tobytes()
+
+
+def test_simplex_runs_on_while_a_vertex_other_than_the_worst_is_far():
+    # At 1e20, adding SIMPLEX_STEP to the first coordinate rounds away, so
+    # vertex 1 equals the start.  Scored worst, it is within the
+    # tolerance of the best vertex, the start, while vertices 2 and 3 are
+    # SIMPLEX_STEP away: the simplex has not converged.
+    steps = search._nelder_mead_max(np.array([1e20, 0.0, 0.0]))
+    simplex = next(steps)
+    assert simplex[1].tobytes() == simplex[0].tobytes()
+    assert abs(simplex[2] - simplex[0]).max() == search.SIMPLEX_STEP
+    (reflected,) = steps.send(np.array([3.0, 0.0, 2.0, 1.0]))
+    assert reflected.shape == (3,)
 
 
 def test_search_respects_budget_and_improves():

@@ -6,9 +6,10 @@ tests pin what that must not change: on every instance and grid, the
 error ``sweep_q`` raises is the error of the first grid point in the
 per-q order, built here from the one-bound functions (``refined``, then
 ``robertson``, then ``naive_q``, then the finiteness checks of
-``product``, ``robertson``, ``naive_q`` and ``refined``); and every float
+``product``, ``robertson``, ``naive_q`` and ``refined``); every float
 field of a report is a Python float, which the record formatter writes
-as its ``repr``.
+as its ``repr``; and every field of a trace pass is a Python float or
+complex, so the scalar layer never meets a NumPy scalar.
 """
 
 import json
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 import qcbounds as qc
-from qcbounds import cli
+from qcbounds import cli, search
 from qcbounds.bounds import _modulus, _report, _trace_rows, _traces
 from qcbounds.errors import DegenerateCoefficient, NonFinite, QcboundsError
 from qcbounds.generators import _trial_batches
@@ -224,6 +225,25 @@ def assert_python_floats(report):
         assert type(getattr(report, name)) is float, name
 
 
+# Past the trace kernel every field of a pass is a Python number, so the
+# scalar layer does Python arithmetic only.
+TRACE_TYPES = {
+    "var_a": float,
+    "var_b": float,
+    "forward": complex,
+    "backward": complex,
+    "commutator": complex,
+    "lambda_min": float,
+    "lambda_max": float,
+}
+
+
+def assert_python_numbers(traces):
+    assert type(traces.dim) is int
+    for name, kind in TRACE_TYPES.items():
+        assert type(getattr(traces, name)) is kind, name
+
+
 QS = [-1e200, -3.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.5, 1e78, 1e200]
 
 
@@ -232,6 +252,7 @@ def test_bound_report_fields_are_python_floats(mixed_qubit, pauli_x):
                  [(1, 1, 1), (2, 2, 1), (3, 3, 3), (4, 5, 2), (5, 8, 8)]]  # fmt: skip
     instances.append((mixed_qubit, qc.make_hermitian(np.eye(2)), pauli_x))  # no ratio
     for instance in instances:
+        assert_python_numbers(_traces(*instance))
         for q in QS:
             assert_python_floats(qc.bound_report(*instance, q))
     assert qc.bound_report(*instances[-1], 0.5).ratio is None
@@ -247,11 +268,21 @@ def test_sweep_fields_are_python_floats():
 
 def test_verify_batch_fields_are_python_floats():
     for dim in (1, 2, 3, 8):
-        reports = [
-            _report(traces, q)
+        rows = [
+            (q, traces)
             for _, qs, stack in _trial_batches(11, (dim,), 40, -3.0, 3.0, True)
             for q, traces in zip(qs, _trace_rows(stack))
         ]
-        assert len(reports) == 40
-        for report in reports:
-            assert_python_floats(report)
+        assert len(rows) == 40
+        for q, traces in rows:
+            assert_python_numbers(traces)
+            assert_python_floats(_report(traces, q))
+
+
+def test_search_stack_traces_are_python_numbers():
+    n = 4
+    thetas = np.random.default_rng(9).standard_normal((6, n + 3 * n * n))
+    rows = list(_trace_rows(search._decode_batch(thetas, n)))
+    assert len(rows) == 6
+    for traces in rows:
+        assert_python_numbers(traces)
