@@ -29,13 +29,22 @@ through ``_trace_rows`` and judge the master inequality with
 arithmetic: the same bits as on NumPy scalars, at about a quarter of the
 cost per bracket.  Each field has one per-q path on top of the pass:
 ``_robertson``, ``_naive`` and ``_refined``, which the one-bound public
-functions call and which one scalar layer, ``_reports``, combines.  It
-evaluates and checks the fields that read no q (``product`` and
-``robertson``) once per instance, then loops over the q values for the
-rest.  ``sweep_q`` hands it a whole grid; ``bound_report``, ``verify``
-and ``search`` call its one-q case ``_report``.  ``q_trace_term`` forms
-one bracket trace from centred observables, through the same trace
-routine as the kernel.
+functions call.  One scalar layer, ``_reports``, evaluates and checks
+the fields that read no q (``product`` and ``robertson``) once per
+instance, then loops over the q values for the rest.  Each q there is
+one straight line of float arithmetic that calls no Python function: the
+regime from one comparison chain, then ``refined`` and ``naive_q`` from
+the expressions of ``_coefficient``, ``_weighted`` and ``_naive_form``
+in their order, so the same bits at a little over half the cost of those
+calls (1.87 against 3.30 ms for a 1501-point n = 8 grid on a 2-core x86
+box, ``BENCH_28.json``).  The rare cases fall back to ``_refined`` and
+``_naive``: an infinite coefficient, the mirrored form of a huge |q|,
+any ``OverflowError`` in the line, a non-finite q (through
+``classify_q``) and a q-free field that is not finite.  ``sweep_q``
+hands ``_reports`` a whole grid; ``bound_report``, ``verify`` and
+``search`` call its one-q case ``_report``.  ``q_trace_term`` forms one
+bracket trace from centred observables, through the same trace routine
+as the kernel.
 
 The six traces of the pass do not depend on each other.  When one of
 them covers at least ``_SPLIT_TRIPLES = 2**16`` triple products (m n^3
@@ -110,6 +119,18 @@ class QRegime(enum.Enum):
     ZERO = "Zero"
     NEGATIVE_GEQ_MINUS_ONE = "NegativeGeqMinusOne"
     LT_MINUS_ONE = "LtMinusOne"
+
+
+# The members again, for the scalar layer: on CPython 3.11 every attribute
+# of an enum class is read through its metaclass's __getattr__ hook, at
+# about 0.2 us a lookup, while one unpacking of this tuple reads all five.
+_REGIMES = (
+    QRegime.POSITIVE_LEQ_ONE,
+    QRegime.ZERO,
+    QRegime.NEGATIVE_GEQ_MINUS_ONE,
+    QRegime.POSITIVE_GT_ONE,
+    QRegime.LT_MINUS_ONE,
+)
 
 
 def classify_q(q: float) -> QRegime:
@@ -534,6 +555,21 @@ def _reports(t: _Traces, qs) -> list[BoundReport]:
     or ``refined`` (checked in that order) is not a finite float.  So a
     q-free error found once is raised at the first q whose ``refined``
     does not raise first.
+
+    Where both q-free fields are finite, each q runs as one straight line
+    of float arithmetic: each value is formed by the expressions of
+    ``_coefficient``, ``_weighted`` and ``_naive_form``, operation for
+    operation, so it has the same bits.  The line covers ``lambda_min = 0``
+    and every coefficient whose denominator is finite and at least
+    ``DEGENERATE_DENOMINATOR``; with eigenvalues at most 1 such a
+    coefficient is finite, so ``_weighted``'s infinite branch is never
+    skipped.  Everything else goes through ``_refined`` and ``_naive``, as
+    the one-bound functions do: a smaller or overflowing denominator (an
+    infinite coefficient, or the mirrored form of a huge |q|), an
+    ``OverflowError`` anywhere in the line (a modulus or square past the
+    float range, which those paths report or mirror), and a q-free field
+    that is not finite.  ``tests/test_flat_reports.py`` keeps the loop as
+    it was before the line, as the reference it must equal.
     """
     product = t.var_a * t.var_b
     try:
@@ -544,23 +580,55 @@ def _reports(t: _Traces, qs) -> list[BoundReport]:
     # Observables too large for a float give infinite or NaN fields, which
     # no record may carry; slack and ratio follow from the four checked.
     unfinite = _unfinite("product", product) or _unfinite("robertson", robertson)
+    flat = fault is None and unfinite is None
     dim, var_a, var_b = t.dim, t.var_a, t.var_b
+    forward, backward = t.forward, t.backward
     lambda_min, lambda_max = t.lambda_min, t.lambda_max
     isfinite = math.isfinite
+    inf = math.inf
     # BoundReport's own __new__ is Python code; tuple.__new__ builds the
     # same named tuple, as its _make does.
     new = tuple.__new__
+    positive, zero, negative, above, below = _REGIMES
     reports = []
     for q in qs:
         q = float(q)
-        regime = classify_q(q)
         aq = abs(q)
-        refined, square = _refined(t, q, aq)
-        if fault is not None:
-            raise fault
-        naive_q = _naive(t, aq, square)
-        if unfinite is not None:
-            raise unfinite
+        if aq <= 1.0:
+            regime = positive if q > 0.0 else negative if q < 0.0 else zero
+        elif aq < inf:
+            regime = below if q < 0.0 else above
+        else:
+            regime = classify_q(q)  # raises NonFinite for NaN and +-inf
+        refined = None
+        if flat:
+            try:
+                spread = (1.0 + aq) ** 2
+                square = abs(forward - aq * backward) ** 2
+                if aq <= 1.0:
+                    weighted = square
+                    high = lambda_max + aq * lambda_min
+                    low = lambda_max - aq * lambda_min
+                else:
+                    weighted = abs(backward - aq * forward) ** 2
+                    high = aq * lambda_max + lambda_min
+                    low = aq * lambda_max - lambda_min
+                if lambda_min == 0.0:
+                    refined = 1.0 / spread * weighted
+                else:
+                    denominator = spread * low**2
+                    if DEGENERATE_DENOMINATOR <= denominator < inf:
+                        refined = high**2 / denominator * weighted
+                naive_q = square / spread
+            except OverflowError:
+                refined = None
+        if refined is None:
+            refined, square = _refined(t, q, aq)
+            if fault is not None:
+                raise fault
+            naive_q = _naive(t, aq, square)
+            if unfinite is not None:
+                raise unfinite
         if not isfinite(naive_q):
             raise _unfinite("naive_q", naive_q)
         if not isfinite(refined):

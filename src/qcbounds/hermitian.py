@@ -65,7 +65,9 @@ def _as_square_complex(raw, name: str) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise DimensionMismatch(f"{name} must be a square matrix, got shape {arr.shape}")
     _check_finite(arr, name)
-    if _hermiticity_defect(arr) > HERMITICITY_RTOL:
+    # Not "> RTOL": a NaN defect, inf / inf where entry magnitudes
+    # overflow, is a failed check too.
+    if not _hermiticity_defect(arr) <= HERMITICITY_RTOL:
         raise NotHermitian(f"{name} is not Hermitian within tolerance")
     return arr
 
@@ -82,7 +84,10 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def _hermiticity_defect(mat: np.ndarray) -> float:
-    scale = max(1.0, float(np.max(np.abs(mat))) if mat.size else 1.0)
+    # max |M - M†| relative to max |M|, at every scale; 0 for a zero matrix.
+    scale = float(np.max(np.abs(mat))) if mat.size else 0.0
+    if scale == 0.0:
+        return 0.0
     return float(np.max(np.abs(mat - mat.conj().T))) / scale
 
 

@@ -347,3 +347,37 @@ def test_mirrored_forms_equal_direct_forms(seed, n, deficient, aq):
     direct = bounds._naive_form(aq, t.forward, t.backward)
     mirrored = bounds._naive_form(p, t.backward, t.forward)
     assert mirrored == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+
+NON_FINITE_Q = [math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("q", NON_FINITE_Q)
+def test_non_finite_q_raises_its_own_error(mixed_qubit, pauli_x, pauli_y, q):
+    # Checked before any bound is formed, on an ordinary instance and on
+    # one whose variance product overflows.
+    huge = qc.make_hermitian(1e200 * pauli_x.mat)
+    for a, b in ((pauli_x, pauli_y), (huge, huge)):
+        calls = (
+            lambda: qc.sweep_q(mixed_qubit, a, b, [q]),
+            lambda: qc.bound_report(mixed_qubit, a, b, q),
+            lambda: qc.naive_q_bound(mixed_qubit, a, b, q),
+            lambda: qc.refined_q_bound(mixed_qubit, a, b, q),
+        )
+        for call in calls:
+            with np.errstate(all="ignore"), pytest.raises(NonFinite) as raised:
+                call()
+            assert str(raised.value) == f"q must be finite, got {q!r}"
+
+
+@pytest.mark.parametrize("q", NON_FINITE_Q)
+def test_non_finite_q_in_a_grid_raises_at_its_own_point(pauli_x, pauli_y, q):
+    # On 0.5 +- 1e-8 the coefficient at q = 1 is infinite and the trace
+    # term is not small, so q = 1 raises DegenerateCoefficient: whichever
+    # of the two points comes first in the grid decides the error.
+    state = qc.make_density(np.diag([0.5 - 1e-8, 0.5 + 1e-8]))
+    with pytest.raises(NonFinite, match=r"^q must be finite, got "):
+        qc.sweep_q(state, pauli_x, pauli_y, [0.5, 2.0, -1e200, q, 1.0])
+    with pytest.raises(DegenerateCoefficient):
+        qc.sweep_q(state, pauli_x, pauli_y, [0.5, 2.0, 1.0, q])
+    assert len(qc.sweep_q(state, pauli_x, pauli_y, [0.5, 2.0, -1e200])) == 3

@@ -990,6 +990,75 @@ def test_sweep_csv_golden_digest(tmp_path):
     assert sha256_of(out) == SWEEP_CSV_SHA256
 
 
+# sha256 of sweep runs that reach the rare branches of the scalar layer,
+# which the golden sweep above never meets: a rank-deficient state
+# (lambda_min = 0, whose coefficient is exactly 1/(1+|q|)^2), the
+# maximally mixed qutrit with diagonal A and B (an infinite coefficient
+# with a zero trace term at q = -1 and q = 1), and a full-rank n = 4
+# state.  Each runs over [-3, 3] in 61 steps and over [-1e200, 1e200] in
+# 5 steps, where every |q| > 1 takes the mirrored form.  Recorded before
+# bounds._reports evaluated each q in line.
+RARE_SWEEP_SHA256 = {
+    ("deficient", "unit", "json"):
+        "4e1276bd30057b1d5e5c1895780d78331328f4e2876b00c47a642e6d79de61b6",
+    ("deficient", "unit", "csv"):
+        "29b0ddeeadf00e467b105484d53f4ea3f43e92ea9d9208280d899ee95130fa63",
+    ("deficient", "huge", "json"):
+        "26ede7df927066d20ed0895c3bec9eb7878bcd51ed4ffe7a1be92a114ef9a9b7",
+    ("deficient", "huge", "csv"):
+        "fdfcd3b2e9b39f90eec83bb21e5cabdd632765e135f29bd85401729da2c8bbd1",
+    ("uniform", "unit", "json"):
+        "1fd16ddec58f66b986a3292e4d5ee98579914c51de71ea2e2a896da02abb25e0",
+    ("uniform", "unit", "csv"):
+        "17be788f8c08ba5289815b7908c21b3dd29c90bc715c5a6c569bd8df6c003354",
+    ("uniform", "huge", "json"):
+        "1a6d9d82fde44dac3af305fbaa9e2d6bf9ac26af2d2f5cccfba8394c9a32fc78",
+    ("uniform", "huge", "csv"):
+        "62f3843022f0443be33b84a07fd11224867bdbc65e9d0fe92ed69654a2296848",
+    ("faithful", "unit", "json"):
+        "69c5a8f0c0b3a56555f950c43289347a90dcc0d295972434353b55fb3b00dd2e",
+    ("faithful", "unit", "csv"):
+        "7a1180ad53fadb809a90f5ce2dad0726b56c49e12618912fb940ec2fe176ec6f",
+    ("faithful", "huge", "json"):
+        "52cc754aa62c217c3f70e969fa431e0b888c41c9e06c97e8e969c71d0c0ea204",
+    ("faithful", "huge", "csv"):
+        "5843c9290a172ebbc3b65f9e9dac8eecd572a3fd12c6bbae658078b305f7293a",
+}  # fmt: skip
+# argparse reads a bare -1e200 as an option, hence the = form.
+RARE_SWEEP_GRIDS = {
+    "unit": ("--q-lo=-3", "--q-hi=3", "--steps=61"),
+    "huge": ("--q-lo=-1e200", "--q-hi=1e200", "--steps=5"),
+}
+
+
+def rare_sweep_instance(tmp_path, name):
+    if name == "uniform":
+        state = qc.make_density(np.eye(3) / 3.0)
+        a = qc.make_hermitian(np.diag([1.0, -2.0, 0.5]))
+        b = qc.make_hermitian(np.diag([3.0, 0.25, -1.0]))
+    elif name == "deficient":
+        # eigh of a diagonal state keeps its exact zero eigenvalue.
+        state = qc.make_density(np.diag([0.0, 0.25, 0.75]))
+        rng = qc.SeededRng(2026, 0)
+        a, b = qc.random_hermitian(3, rng.split(1)), qc.random_hermitian(3, rng.split(2))
+    else:
+        rng = qc.SeededRng(2026, 1)
+        state = qc.random_density(4, 4, rng.split(0))
+        a, b = qc.random_hermitian(4, rng.split(1)), qc.random_hermitian(4, rng.split(2))
+    path = tmp_path / f"{name}.json"
+    qc.save_instance(path, state, a, b)
+    return path
+
+
+@pytest.mark.parametrize("name, grid, output_format", sorted(RARE_SWEEP_SHA256))
+def test_sweep_golden_digest_on_rare_branches(tmp_path, name, grid, output_format):
+    instance = rare_sweep_instance(tmp_path, name)
+    out = tmp_path / f"golden.{output_format}"
+    assert run_cli("sweep", instance, *RARE_SWEEP_GRIDS[grid],
+                   "--format", output_format, "--out", out) == 0
+    assert sha256_of(out) == RARE_SWEEP_SHA256[name, grid, output_format]
+
+
 def test_search_json_golden_digest(tmp_path, capsys):
     out = tmp_path / "golden.json"
     assert run_cli("search", "--n", "3", "--q", "0.5", "--budget", "400",

@@ -24,6 +24,35 @@ def test_make_hermitian_rejects_asymmetry():
         qc.make_hermitian([[0.0, 1.0], [0.0, 0.0]])
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-8, 1e-12, 1e-100, 1e-300])
+def test_hermiticity_tolerance_is_relative_at_every_scale(scale):
+    # The defect of [[0, 1], [0, 0]] is its largest entry at any scale.  It
+    # used to be divided by max(1, max|M|), so below unit scale it was
+    # absolute, and 1e-12 times the witness was stored as 5e-13 sigma_x.
+    witness = scale * np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(NotHermitian):
+        qc.make_hermitian(witness)
+    with pytest.raises(NotHermitian):
+        qc.HermitianMatrix(witness)
+    # Relative noise of about 1e-16 is float noise at any scale.
+    g = np.random.default_rng(12)
+    raw = g.standard_normal((4, 4)) + 1j * g.standard_normal((4, 4))
+    noise = g.standard_normal((4, 4)) + 1j * g.standard_normal((4, 4))
+    hermitian = (raw + raw.conj().T) / 2.0
+    noisy = scale * (hermitian + 1e-16 * (noise - noise.conj().T))
+    assert not np.array_equal(noisy, noisy.conj().T)
+    assert np.array_equal(qc.make_hermitian(noisy).mat, (noisy + noisy.conj().T) / 2.0)
+
+
+def test_hermiticity_check_rejects_overflowing_magnitudes():
+    # |1.5e308 + 1.5e308j| overflows, so the defect is inf / inf, NaN.  It
+    # used to pass the check, and the matrix was stored as its symmetrised
+    # half, a different operator.
+    z = 1.5e308 + 1.5e308j
+    with np.errstate(all="ignore"), pytest.raises(NotHermitian):
+        qc.make_hermitian([[0.0, z], [0.0, 0.0]])
+
+
 def test_make_hermitian_rejects_non_square():
     with pytest.raises(DimensionMismatch):
         qc.make_hermitian(np.zeros((2, 3)))

@@ -254,7 +254,7 @@ def raw_matrices(draw):
     defect = np.max(np.abs(noise - noise.conj().T))
     if defect > 0.0:
         target = draw(st.sampled_from([0.0, 0.5, 0.9, 0.99, 1.01, 1.5]))
-        scale = max(1.0, float(np.max(np.abs(raw))))
+        scale = float(np.max(np.abs(raw)))
         raw = raw + noise * (target * HERMITICITY_RTOL * scale / defect)
     return raw
 
