@@ -32,15 +32,8 @@ cost per bracket.  Each field has one per-q path on top of the pass:
 functions call.  One scalar layer, ``_reports``, evaluates and checks
 the fields that read no q (``product`` and ``robertson``) once per
 instance, then loops over the q values for the rest.  Each q there is
-one straight line of float arithmetic that calls no Python function: the
-regime from one comparison chain, then ``refined`` and ``naive_q`` from
-the expressions of ``_coefficient``, ``_weighted`` and ``_naive_form``
-in their order, so the same bits at a little over half the cost of those
-calls (1.87 against 3.30 ms for a 1501-point n = 8 grid on a 2-core x86
-box, ``BENCH_28.json``).  The rare cases fall back to ``_refined`` and
-``_naive``: an infinite coefficient, the mirrored form of a huge |q|,
-any ``OverflowError`` in the line, a non-finite q (through
-``classify_q``) and a q-free field that is not finite.  ``sweep_q``
+one straight line of float arithmetic with the same bits as those paths,
+which take the rare cases (``_reports`` says which).  ``sweep_q``
 hands ``_reports`` a whole grid; ``bound_report``, ``verify`` and
 ``search`` call its one-q case ``_report``.  ``q_trace_term`` forms one
 bracket trace from centred observables, through the same trace routine

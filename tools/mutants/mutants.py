@@ -25,6 +25,7 @@ import io
 import os
 import queue
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -43,6 +44,10 @@ SWAPS = {
     ast.Gt: (">", ">="),
     ast.GtE: (">=", ">"),
 }
+# A mutated comparison can make a loop run forever; such a run is killed
+# after this many seconds and counts as killed.  The whole suite takes
+# about 50 s on a 2-core x86 box.
+TIMEOUT_S = 600.0
 DEFAULT_COMMAND = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
 # Copied into each work tree: everything but version control and caches.
 IGNORED = shutil.ignore_patterns(
@@ -141,6 +146,9 @@ def run(repo: Path, module: Path, selected, command, jobs: int, timeout: float):
 
     Each result is ``(mutant, outcome)`` with outcome ``"killed"``,
     ``"survived"`` or ``"timeout"`` (counted as killed), in mutant order.
+    Each command runs in a session of its own; on a timeout the whole
+    process group is killed, so nothing it started outlives it and keeps
+    the mutated module loaded while the tree serves the next mutant.
     """
     relative = module.resolve().relative_to(repo.resolve())
     with tempfile.TemporaryDirectory(prefix="mutants-") as work:
@@ -161,14 +169,19 @@ def run(repo: Path, module: Path, selected, command, jobs: int, timeout: float):
                 env["PYTHONPATH"] = os.pathsep.join(
                     p for p in (str(tree / "src"), env.get("PYTHONPATH")) if p
                 )
+                proc = subprocess.Popen(
+                    command, cwd=tree, env=env, start_new_session=True,
+                    stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                )  # fmt: skip
                 try:
-                    proc = subprocess.run(
-                        command, cwd=tree, env=env, timeout=timeout,
-                        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                    )  # fmt: skip
+                    returncode = proc.wait(timeout=timeout)
                 except subprocess.TimeoutExpired:
+                    # The leader is not yet reaped, so its pid still names
+                    # its process group.
+                    os.killpg(proc.pid, signal.SIGKILL)
+                    proc.wait()
                     return "timeout"
-                return "survived" if proc.returncode == 0 else "killed"
+                return "survived" if returncode == 0 else "killed"
             finally:
                 target.write_text(original)
                 free.put(tree)
@@ -199,8 +212,6 @@ def main(argv=None) -> int:
                         help="comma-separated function names to mutate (default: all)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="mutants run at once, at most one per CPU")
-    parser.add_argument("--timeout", type=float, default=600.0,
-                        help="seconds per run before it counts as killed")
     parser.add_argument("--list", action="store_true",
                         help="list the mutants without running them")
     args = parser.parse_args(argv)  # fmt: skip
@@ -219,7 +230,7 @@ def main(argv=None) -> int:
         parser.error("empty test command after --")
     survivors = []
     for mutant, outcome in run(
-        args.repo, args.module, selected, command, args.jobs, args.timeout
+        args.repo, args.module, selected, command, args.jobs, TIMEOUT_S
     ):
         print(f"{outcome:8} {describe(mutant)}", flush=True)
         if outcome == "survived":

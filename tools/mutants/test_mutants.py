@@ -5,7 +5,10 @@
 
 import ast
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
@@ -73,3 +76,30 @@ def test_run_counts_a_failing_command_as_killed(tmp_path):
     results = list(mutants.run(tmp_path, tmp_path / "m.py", found, idle, 2, 60))
     assert [outcome for _, outcome in results] == ["survived", "survived"]
     assert (tmp_path / "m.py").read_text() == "def inc(x):\n    return x + 1.0\n"
+
+
+def _running(pid: int) -> bool:
+    # A killed process may stay a zombie until its new parent reaps it.
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def test_a_timeout_kills_what_the_command_started(tmp_path):
+    if not Path("/proc/self/stat").exists():
+        pytest.skip("reads process states from /proc")
+    (tmp_path / "m.py").write_text("def inc(x):\n    return x + 1.0\n")
+    found = mutants.mutants((tmp_path / "m.py").read_text())[:1]
+    pid_file = tmp_path / "sleeper.pid"
+    # The command starts a sleeper, records its pid, then outlasts the timeout.
+    script = f"sleep 60 & echo $! > '{pid_file}'; sleep 60"
+    command = ["sh", "-c", script]
+    results = list(mutants.run(tmp_path, tmp_path / "m.py", found, command, 1, 0.2))
+    assert [outcome for _, outcome in results] == ["timeout"]
+    pid = int(pid_file.read_text())
+    deadline = time.monotonic() + 5.0
+    while _running(pid) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not _running(pid)
