@@ -12,6 +12,11 @@ and split of a chunk in one vectorised pass, into one C-contiguous
 ``(indices, splits, 4)`` array.  A ``_DerivedStream`` is built on use
 from one row of it, only for a stream the trial draws from, and builds
 the generator that :meth:`SeededRng.generator` would build, bit for bit.
+A trial's q and its rank are one scalar draw each, a fixed function of
+the first 64-bit output of their stream.  ``_first_outputs`` computes
+that output from the seed words, for a whole chunk in one vectorised
+pass of PCG64's seeding and XSL-RR output, so those two streams need no
+Generator of their own.
 
 Instances are drawn the same way on both paths.  The draw order lives in
 two private helpers that fill caller-given float buffers, ``_draw_state``
@@ -27,9 +32,12 @@ one-row buffers.
 ``verify``'s trial ensemble lives here too, with its stream layout
 (``_TRIAL_STREAMS``).  ``_trial_batches`` yields it in index order, one
 stack of consecutive trials of one dim at a time, from seed words
-derived ``_CHUNK_TRIALS`` trials per pass.  ``_draw_trials`` fills one
-row per trial of preallocated stacks, then runs the array functions once
-per batch; they act element by element or, for stacked QR, round as one
+derived ``_CHUNK_TRIALS`` trials per pass.  ``_q_and_ranks`` forms the
+chunk's q values and ranks from first outputs (``_uniform`` and
+``_lemire`` repeat NumPy's arithmetic on them).  ``_draw_trials`` builds
+Generators for each trial's state, A and B streams, fills one row per
+trial of preallocated stacks, then runs the array functions once per
+batch; they act element by element or, for stacked QR, round as one
 matrix at a time, so each trial gets the reference bytes.
 
 The spectrum is Dirichlet(1, ..., 1) drawn as NumPy's
@@ -67,8 +75,9 @@ BOUNDARY_PERIOD = 16
 # Trial ``index`` draws from ``SeededRng(seed, index).split(k)``: q for
 # k = 0, the rank for k = 1, the state for k = 2, A and B for k = 3 and 4.
 # The seed words of all five splits of this many consecutive trials are
-# derived in one pass; a trial builds a stream only if it draws from it,
-# so a boundary slot skips q and only odd mixed-rank trials use the rank.
+# derived in one pass.  q and the rank come from the first output of
+# their streams; a boundary slot ignores q, and only odd mixed-rank
+# trials use the rank.
 _TRIAL_STREAMS = 5
 _CHUNK_TRIALS = 512
 
@@ -80,6 +89,12 @@ _XSHIFT = 16
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+# PCG64's 128-bit LCG multiplier, as its high and low words.
+_PCG_MULT_HI = np.uint64(0x2360ED051FC65DA4)
+_PCG_MULT_LO = np.uint64(0x4385DF649FCCF645)
+# Generator.uniform maps a 64-bit output x to (x >> 11) * 2**-53 in [0, 1).
+_DOUBLE_UNIT = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -215,6 +230,49 @@ def _spawn_words(seed: int, indices: np.ndarray, k) -> np.ndarray:
     return np.stack([state[i] | state[i + 1] << 32 for i in range(0, 8, 2)], axis=-1)
 
 
+def _first_outputs(words: np.ndarray) -> np.ndarray:
+    """Return the first 64-bit PCG64 output of every stream, from its seed words.
+
+    ``words`` is a uint64 array of at least two axes whose last axis holds
+    the four words ``(w0, w1, w2, w3)`` of a ``_spawn_words`` result; the
+    output has the other axes.  Entry ``r`` equals ``_DerivedStream(
+    words[r]).generator().bit_generator.random_raw()``.  It seeds as
+    NumPy's ``pcg64_set_seed`` does: the state ``w0 * 2**64 + w1`` and the
+    increment ``2 * (w2 * 2**64 + w3) + 1``, two seeding steps, then one
+    more step and the XSL-RR output (O'Neill, "PCG: A Family of Simple
+    Fast Space-Efficient Statistically Good Algorithms for Random Number
+    Generation", 2014).  A 128-bit value is a pair of uint64 arrays, high
+    and low, that wrap mod 2**64 without a warning, as NumPy scalars
+    would not.
+    """
+    w0, w1, w2, w3 = (words[..., i] for i in range(4))
+    inc_hi = w2 << 1 | w3 >> 63
+    inc_lo = w3 << 1 | 1
+    # The state is the increment after the first seeding step; adding the
+    # initial state carries when the low word wraps.
+    lo = inc_lo + w1
+    hi = inc_hi + w0 + (lo < inc_lo)
+    for _ in range(2):
+        product_lo = lo * _PCG_MULT_LO
+        hi = _mul_hi(lo, _PCG_MULT_LO) + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
+        lo = product_lo + inc_lo
+        hi = hi + inc_hi + (lo < inc_lo)
+    # XSL-RR: the xor of the halves, rotated right by the top six bits.
+    value = hi ^ lo
+    rot = hi >> 58
+    return value >> rot | value << ((64 - rot) & 63)
+
+
+def _mul_hi(a: np.ndarray, b: np.uint64) -> np.ndarray:
+    # The high word of the 128-bit product a * b, from 32-bit limbs, so no
+    # partial product overflows 64 bits.
+    a0, a1 = a & _MASK32, a >> 32
+    b0, b1 = b & _MASK32, b >> 32
+    cross_a, cross_b = a0 * b1, a1 * b0
+    middle = (a0 * b0 >> 32) + (cross_a & _MASK32) + (cross_b & _MASK32)
+    return a1 * b1 + (cross_a >> 32) + (cross_b >> 32) + (middle >> 32)
+
+
 def _hash_constants(value: int, mult: int):
     # The hash constant evolves independently of the data; yield the
     # (xor, multiplier) pair of each successive hashmix step.
@@ -305,63 +363,105 @@ def _trial_batches(seed, dims, trials_per_dim, q_lo, q_hi, mixed):
 
     ``qs`` and the ``_Instances`` ``stack`` hold trials ``first, first +
     1, ...``, all of one dim.  ``mixed`` draws a rank below the dim for odd
-    trials.  A batch never spans two chunks of ``_CHUNK_TRIALS``, whose
-    seed words are derived in one pass, and holds at most
-    ``_batch_rows(dim)`` trials.  Each batch is drawn when it is asked for.
+    trials.  A batch never spans two chunks of ``_CHUNK_TRIALS``.  Per
+    chunk, one ``_derived_streams`` pass derives the seed words of every
+    stream and one ``_q_and_ranks`` pass forms every q and rank, without a
+    Generator; so a batch of four n = 32 trials pays neither pass's fixed
+    cost.  A batch holds at most ``_batch_rows(dim)`` trials and is drawn
+    by ``_draw_trials`` when it is asked for.
     """
     total = len(dims) * trials_per_dim
+    dim_of = np.array(dims, dtype=np.uint64)
     for start in range(0, total, _CHUNK_TRIALS):
         stop = min(start + _CHUNK_TRIALS, total)
         indices = np.arange(start, stop, dtype=np.uint64)
         words = _derived_streams(seed, indices, _TRIAL_STREAMS)
+        trial_dims = dim_of[indices // trials_per_dim]
+        qs, ranks = _q_and_ranks(words, start, trial_dims, q_lo, q_hi, mixed)
         first = start
         while first < stop:
             group = first // trials_per_dim
             dim = dims[group]
             last = min(stop, (group + 1) * trials_per_dim, first + _batch_rows(dim))
-            batch = words[first - start : last - start]
-            yield first, *_draw_trials(batch, first, dim, q_lo, q_hi, mixed)
+            rows = slice(first - start, last - start)
+            yield first, qs[rows], _draw_trials(words[rows], ranks[rows], dim)
             first = last
 
 
-def _draw_trials(words, first, dim, q_lo, q_hi, mixed):
-    """Return the q values and the ``_Instances`` stack of consecutive trials.
+def _q_and_ranks(words, first, dims, q_lo, q_hi, mixed):
+    """Return the q values and the ranks of consecutive trials, as lists.
 
-    Trial ``first + offset`` draws from the streams whose seed words are
-    ``words[offset]`` (a ``_derived_streams`` block), each stream exactly
-    as ``random_density`` and ``random_hermitian`` draw from theirs; a
-    stream is built only when the trial draws from it.  The draws go into
-    row ``offset`` of the exponential stack and of the (m, 3, 2, dim, dim)
-    Gaussian stack, whose pairs hold the real and the imaginary parts of
-    the frame, of A and of B.  The spectra, the complex matrices and the
-    instances are then formed once for the batch.
+    Trial ``first + offset`` has dim ``dims[offset]`` (a uint64 array) and
+    the streams whose seed words are ``words[offset]`` (a
+    ``_derived_streams`` block).  Its q is ``Generator.uniform(q_lo,
+    q_hi)`` of split 0 unless its slot pins a boundary value; under
+    ``mixed``, an odd trial of dim 2 or more has rank
+    ``Generator.integers(1, dim)`` of split 1, and every other trial its
+    dim.  Each is one scalar draw, formed from its stream's first output
+    (``_first_outputs``, one pass for all trials) with NumPy's own
+    arithmetic, so the same bits without a Generator.  The rank is
+    Lemire's bounded draw on the low 32 bits (Lemire, "Fast Random Integer
+    Generation in an Interval", ACM TOMACS 2019); only where its rejection
+    test could fire, with probability below dim / 2**32, is the rank
+    stream's Generator built to run NumPy's own loop.
+    """
+    draws = _first_outputs(words[:, :2])
+    index = np.arange(first, first + len(words))
+    slot = index % BOUNDARY_PERIOD
+    pinned = np.take(BOUNDARY_Q, slot, mode="clip")
+    uniform = _uniform(draws[:, 0], q_lo, q_hi)
+    qs = np.where(slot < len(BOUNDARY_Q), pinned, uniform).tolist()
+    if not mixed:
+        return qs, dims.tolist()
+    drawn = (index % 2 == 1) & (dims >= 2)
+    below, exact = _lemire(draws[:, 1], dims - np.uint64(1))
+    ranks = np.where(drawn, 1 + below, dims).tolist()
+    for offset in np.flatnonzero(drawn & ~exact):
+        g = _DerivedStream(words[offset, 1]).generator()
+        ranks[offset] = int(g.integers(1, int(dims[offset])))
+    return qs, ranks
+
+
+def _draw_trials(words, ranks, dim):
+    """Return the ``_Instances`` stack of consecutive trials of one dim.
+
+    Trial ``offset`` has rank ``ranks[offset]`` and draws its state, A and
+    B from the streams whose seed words are ``words[offset, 2:]`` (a
+    ``_derived_streams`` block), one Generator each, exactly as
+    ``random_density`` and ``random_hermitian`` draw from theirs.  The
+    draws go into row ``offset`` of the exponential stack and of the (m,
+    3, 2, dim, dim) Gaussian stack, whose pairs hold the real and the
+    imaginary parts of the frame, of A and of B.  The spectra, the complex
+    matrices and the instances are then formed once for the batch.
     """
     m = len(words)
-    qs = []
     exps = np.zeros((m, dim))
     pairs = np.empty((m, 3, 2, dim, dim))
-    mixed = mixed and dim >= 2
-    for offset, trial in enumerate(words):
-        index = first + offset
-        slot = index % BOUNDARY_PERIOD
-        if slot < len(BOUNDARY_Q):
-            q = BOUNDARY_Q[slot]
-        else:
-            q = float(_DerivedStream(trial[0]).generator().uniform(q_lo, q_hi))
-        if mixed and index % 2 == 1:
-            rank = int(_DerivedStream(trial[1]).generator().integers(1, dim))
-        else:
-            rank = dim
-        qs.append(q)
-        state, a, b = pairs[offset]
-        _draw_state(_DerivedStream(trial[2]).generator(), rank, exps[offset], state)
+    for trial, rank, row, (state, a, b) in zip(words, ranks, exps, pairs):
+        _draw_state(_DerivedStream(trial[2]).generator(), rank, row, state)
         _draw_gaussian(_DerivedStream(trial[3]).generator(), a)
         _draw_gaussian(_DerivedStream(trial[4]).generator(), b)
     raw = _complex_matrix(pairs[:, :, 0], pairs[:, :, 1])
     frame = _unitary_frame(raw[:, 0])
     rho, vals = _density_arrays(_spectrum(exps), frame)
     a, b = _symmetrised(raw[:, 1]), _symmetrised(raw[:, 2])
-    return qs, _Instances(rho, vals, frame, a, b)
+    return _Instances(rho, vals, frame, a, b)
+
+
+def _uniform(x: np.ndarray, low: float, high: float) -> np.ndarray:
+    # Generator.uniform(low, high) of streams whose first outputs are x:
+    # low + (high - low) * ((x >> 11) * 2**-53), the operations of NumPy's
+    # random_uniform and next_double in their order, so the same bits.
+    return low + (high - low) * ((x >> 11) * _DOUBLE_UNIT)
+
+
+def _lemire(x: np.ndarray, span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Generator.integers(0, span), 1 <= span < 2**32 (uint64), of streams
+    # whose first outputs are x: NumPy draws the low 32 bits and keeps the high word of
+    # their product with ``span``.  Where the product's low word is below
+    # ``span``, ``exact`` is False: NumPy's rejection loop may draw again.
+    scaled = (x & _MASK32) * span
+    return scaled >> 32, (scaled & _MASK32) >= span
 
 
 def _draw_bytes(dim: int) -> int:

@@ -105,9 +105,11 @@ def test_batched_rows_equal_reference_path(case):
     indices = np.arange(first, first + size, dtype=np.uint64)
     streams = _derived_streams(plan.seed, indices, generators._TRIAL_STREAMS)
     mixed = plan.rank_policy == "mixed"
-    qs, stack = generators._draw_trials(
-        streams, first, dim, plan.q_lo, plan.q_hi, mixed
+    dims = np.full(size, dim, dtype=np.uint64)
+    qs, ranks = generators._q_and_ranks(
+        streams, first, dims, plan.q_lo, plan.q_hi, mixed
     )
+    stack = generators._draw_trials(streams, ranks, dim)
     rho, vals, frame, a, b = stack
     rows = list(_trace_rows(stack))
     reports = [_report(traces, q) for q, traces in zip(qs, rows)]
@@ -116,7 +118,8 @@ def test_batched_rows_equal_reference_path(case):
     for offset in range(size):
         index = first + offset
         q, rank = reference_q_and_rank(plan, dim, index)
-        assert qs[offset] == q
+        assert type(qs[offset]) is float and qs[offset] == q
+        assert type(ranks[offset]) is int and ranks[offset] == rank
         trial = qc.SeededRng(plan.seed, index)
         state = qc.random_density(dim, rank, trial.split(2))
         ref_a = qc.random_hermitian(dim, trial.split(3))
@@ -136,21 +139,26 @@ def test_batched_rows_equal_reference_path(case):
 def test_batches_stay_in_one_dim_one_chunk_and_under_the_cap(monkeypatch):
     # 600 trials: an n = 1 group, an n = 5 group, and an n = 32 group
     # that the 512-trial chunk edge cuts at trial 512.  The draws are
-    # stubbed out; each batch reports its dim and its rows of seed words.
-    def cut(words, first, dim, q_lo, q_hi, mixed):
-        return [dim] * len(words), words
+    # stubbed out; each batch reports its dim, ranks and rows of seed words.
+    def cut(words, ranks, dim):
+        return dim, ranks, words
 
     monkeypatch.setattr(generators, "_draw_trials", cut)
     chunk = generators._CHUNK_TRIALS
     cuts = []
-    for first, dims, words in generators._trial_batches(
+    for first, qs, (dim, ranks, words) in generators._trial_batches(
         3, (1, 5, 32), 200, -3.0, 3.0, True
     ):
-        last = first + len(dims)
-        cuts.append((dims[0], first, last))
+        last = first + len(words)
+        cuts.append((dim, first, last))
         indices = np.arange(first, last, dtype=np.uint64)
         expected = _derived_streams(3, indices, generators._TRIAL_STREAMS)
         assert words.tobytes() == expected.tobytes()
+        # Each batch gets its own trials' q values and ranks.
+        dims = np.full(len(words), dim, dtype=np.uint64)
+        assert (qs, ranks) == generators._q_and_ranks(
+            words, first, dims, -3.0, 3.0, True
+        )
     assert [first for _, first, _ in cuts] == [0] + [last for _, _, last in cuts[:-1]]
     assert cuts[-1][2] == 600
     for dim, first, last in cuts:

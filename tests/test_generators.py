@@ -1,16 +1,23 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qcbounds as qc
+from qcbounds import cli, generators
+from qcbounds.bounds import _batch_rows
 from qcbounds.errors import DomainError, InvalidDimension, InvalidRank
 from qcbounds.generators import (
     _derived_streams,
     _DerivedStream,
     _draw_state,
+    _first_outputs,
+    _lemire,
     _spawn_words,
     _spectrum,
+    _uniform,
 )
 
 
@@ -53,6 +60,8 @@ def test_rng_split_is_stable_and_nested():
     assert np.array_equal(
         chained.generator().standard_normal(4), direct.generator().standard_normal(4)
     )
+    # A zero path entry is a valid index, validated or split.
+    assert qc.SeededRng(9, 2, (0,)) == base.split(0)
     direct = base.split(3).generator().standard_normal(4)
     again = base.split(3).generator().standard_normal(4)
     assert np.array_equal(direct, again)
@@ -268,3 +277,149 @@ def test_spectrum_equals_padded_sorted_dirichlet(seed, case):
     assert _spectrum(exps[None, :])[0].tobytes() == expected.tobytes()
     assert re.tobytes() == g.standard_normal((n, n)).tobytes()
     assert im.tobytes() == g.standard_normal((n, n)).tobytes()
+
+
+# PCG64's LCG multiplier, odd, so the LCG step inverts mod 2**128.
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+PCG_MULT_INV = pow(PCG_MULT, -1, 2**128)
+WORD = st.integers(0, 2**64 - 1)
+EDGE_WORDS = [list(w) for w in itertools.product([0, 2**64 - 1], repeat=4)]
+W2, W3 = 0x0123456789ABCDEF, 0xFEDCBA9876543210
+
+
+def increment(w2, w3):
+    return (2 * (w2 << 64 | w3) + 1) % 2**128
+
+
+def step_back(state, w2=W2, w3=W3):
+    # The LCG state one step before ``state``.
+    return (state - increment(w2, w3)) * PCG_MULT_INV % 2**128
+
+
+def seed_words(start, w2=W2, w3=W3):
+    # Seed words whose stream holds ``start`` after the first seeding step
+    # and the addition of the initial state.
+    initial = (start - increment(w2, w3)) % 2**128
+    return [initial >> 64, initial & (2**64 - 1), w2, w3]
+
+
+def words_for_output(output):
+    # A state whose high word is 0 makes XSL-RR rotate by 0 and output the
+    # low word, ``output``; two steps back is the stream's start.
+    return seed_words(step_back(step_back(output)))
+
+
+def raw_outputs(words):
+    return [
+        int(_DerivedStream(row).generator().bit_generator.random_raw())
+        for row in words
+    ]
+
+
+@pytest.fixture
+def generator_calls(monkeypatch):
+    # The seed words of every stream whose Generator is built.
+    calls = []
+    original = _DerivedStream.generator
+
+    def counted(self):
+        calls.append(self.words.tolist())
+        return original(self)
+
+    monkeypatch.setattr(_DerivedStream, "generator", counted)
+    return calls
+
+
+@given(st.lists(st.lists(WORD, min_size=4, max_size=4), min_size=1, max_size=8))
+@example(EDGE_WORDS)
+# The low word is 0 before the first, then before the second LCG step: the
+# step's carry test sees a sum equal to the increment.
+@example([seed_words(5 << 64), seed_words(step_back(3 << 64))])
+@example([words_for_output(0xDEADBEEF00000000), words_for_output(0x1234567800000001)])
+@settings(max_examples=150, deadline=None)
+def test_first_outputs_equal_pcg64(rows):
+    words = np.array(rows, dtype=np.uint64)
+    outputs = _first_outputs(words)
+    assert outputs.dtype == np.uint64
+    assert outputs.tolist() == raw_outputs(words)
+    # Strided views of a chunk, as _trial_batches passes them.
+    chunk = np.stack([words, words[::-1]], axis=1)
+    assert _first_outputs(chunk).tolist() == [
+        [a, b] for a, b in zip(outputs.tolist(), outputs[::-1].tolist())
+    ]
+    # Zero, tiny, verify's default and huge spans.
+    spans = [(0.5, 0.5), (1.0, 1.0 + 2**-40), (0.0, 5e-324), (-3.0, 3.0)]
+    for low, high in spans + [(-1e300, 1e300)]:
+        expected = [_DerivedStream(row).generator().uniform(low, high) for row in words]
+        assert _uniform(outputs, low, high).tolist() == expected
+    for dim in (2, 3, 4, 8, 32, 4096):
+        below, exact = _lemire(outputs, dim - 1)
+        for row, rank, fast in zip(words, (1 + below).tolist(), exact.tolist()):
+            if fast:
+                assert rank == _DerivedStream(row).generator().integers(1, dim)
+
+
+def test_lemire_equals_integers_for_every_dim_up_to_4096():
+    dims = np.arange(2, 4097, dtype=np.uint64)
+    words = _spawn_words(17, dims, 1)
+    below, exact = _lemire(_first_outputs(words), dims - 1)
+    assert exact.all()
+    for row, dim, rank in zip(words, dims.tolist(), (1 + below).tolist()):
+        assert rank == _DerivedStream(row).generator().integers(1, dim)
+    # At dim 1 there is no rank to draw: mixed batches skip it.
+    with pytest.raises(ValueError):
+        _DerivedStream(words[0]).generator().integers(1, 1)
+
+
+def test_rank_falls_back_to_the_generator_only_where_lemire_may_reject(generator_calls):
+    # Trial 1 (odd) draws its rank from a stream whose first output has low
+    # word 0, so Lemire's rejection test can fire, and at dim 4 NumPy does
+    # draw again (2**32 mod 3 = 1 > 0).  Trial 3's low word is 1: its
+    # product's low word equals the span, so no redraw can happen.
+    words = _derived_streams(8, np.arange(4, dtype=np.uint64), 5)
+    words[1, 1] = words_for_output(0xDEADBEEF00000000)
+    words[3, 1] = words_for_output(0x1234567800000001)
+    for dim in (2, 3, 4, 8):
+        generator_calls.clear()
+        dims = np.full(4, dim, dtype=np.uint64)
+        qs, ranks = generators._q_and_ranks(words, 0, dims, -3.0, 3.0, True)
+        assert generator_calls == [words[1, 1].tolist()]
+        expected = [
+            int(_DerivedStream(words[i, 1]).generator().integers(1, dim))
+            for i in (1, 3)
+        ]
+        assert ranks == [dim, expected[0], dim, expected[1]]
+        assert all(type(rank) is int for rank in ranks)
+        assert qs[:3] == [-1.0, 0.0, 1.0] and -3.0 <= qs[3] < 3.0
+
+
+@pytest.mark.parametrize("policy", ["mixed", "full"])
+def test_verify_builds_generators_only_for_state_a_and_b(
+    generator_calls, tmp_path, policy
+):
+    plan = cli.TrialPlan(
+        dims=(1, 2, 3, 8),
+        trials_per_dim=40,
+        q_lo=-3.0,
+        q_hi=3.0,
+        rank_policy=policy,
+        seed=4,
+        tolerance_rel=1e-9,
+        output_format="csv",
+    )
+    # The seed is one where no odd trial's rank can need Lemire's redraw.
+    trials = len(plan.dims) * plan.trials_per_dim
+    words = _derived_streams(plan.seed, np.arange(trials, dtype=np.uint64), 2)
+    dims = np.repeat(np.array(plan.dims, dtype=np.uint64), plan.trials_per_dim)
+    assert _lemire(_first_outputs(words[:, 1]), dims - 1)[1][dims >= 2].all()
+    assert cli.cmd_verify(plan, out=str(tmp_path / "out.csv")) == 0
+    assert len(generator_calls) == 3 * trials
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 32, 4730])
+def test_draw_bytes_are_the_float_stacks_of_a_full_batch(dim):
+    # _draw_trials fills an (m, dim) exponential stack and an
+    # (m, 3, 2, dim, dim) Gaussian stack for a batch of m trials.
+    rows = _batch_rows(dim)
+    stacks = (rows * dim, rows * 3 * 2 * dim * dim)
+    assert generators._draw_bytes(dim) == sum(8 * size for size in stacks)
