@@ -136,15 +136,11 @@ def classify_q(q: float) -> QRegime:
     q = float(q)
     if not math.isfinite(q):
         raise NonFinite(f"q must be finite, got {q!r}")
-    if q == 0.0:
-        return QRegime.ZERO
-    if 0.0 < q <= 1.0:
-        return QRegime.POSITIVE_LEQ_ONE
-    if q > 1.0:
-        return QRegime.POSITIVE_GT_ONE
-    if -1.0 <= q < 0.0:
-        return QRegime.NEGATIVE_GEQ_MINUS_ONE
-    return QRegime.LT_MINUS_ONE
+    if q > 0.0:
+        return QRegime.POSITIVE_LEQ_ONE if q <= 1.0 else QRegime.POSITIVE_GT_ONE
+    if q < 0.0:
+        return QRegime.NEGATIVE_GEQ_MINUS_ONE if q >= -1.0 else QRegime.LT_MINUS_ONE
+    return QRegime.ZERO
 
 
 def q_trace_term(
@@ -265,7 +261,7 @@ def refined_q_bound(
     t = _traces(state, a, b)
     q = float(q)
     classify_q(q)  # rejects non-finite q
-    return _refined(t, q, abs(q))[0]
+    return _refined(t, q, abs(q))
 
 
 class BoundReport(NamedTuple):
@@ -348,11 +344,8 @@ def _robertson(t: _Traces) -> float:
     return 0.25 * _squared(magnitude)
 
 
-def _naive(t: _Traces, aq: float, square: float | None = None) -> float:
-    # naive_q at aq = |q|.  ``square`` is |F - aq B|^2 when the caller
-    # has it already, as _refined returns it for aq <= 1.
-    if square is not None:
-        return square / (1.0 + aq) ** 2
+def _naive(t: _Traces, aq: float) -> float:
+    # naive_q at aq = |q|.
     if aq > 1.0:
         try:
             return _naive_form(aq, t.forward, t.backward)
@@ -369,36 +362,34 @@ def _naive_form(aq: float, first: complex, second: complex) -> float:
     return _squared(_modulus(first - aq * second)) / denominator
 
 
-def _refined(t: _Traces, q: float, aq: float) -> tuple[float, float | None]:
-    # refined at a finite q with aq = |q|, and for aq <= 1 the square
-    # |F - aq B|^2 it weights, which naive_q shares; None for aq > 1.
+def _refined(t: _Traces, q: float, aq: float) -> float:
+    # refined at a finite q with aq = |q|.
     if aq > 1.0:
         try:
-            return _weighted(t, aq, t.backward, t.forward, q)[0], None
+            return _weighted(t, aq, t.backward, t.forward, q)
         except (OverflowError, NonFinite):
             # A huge |q| overflows the direct form.  With p = 1/|q|,
             # C(|q|) |B - |q| F|^2 = C(p) |F - p B|^2.
-            return _weighted(t, 1.0 / aq, t.forward, t.backward, q)[0], None
+            return _weighted(t, 1.0 / aq, t.forward, t.backward, q)
     return _weighted(t, aq, t.forward, t.backward, q)
 
 
 def _weighted(
     t: _Traces, aq: float, first: complex, second: complex, q: float
-) -> tuple[float, float]:
-    # C(aq) |first - aq second|^2 and the square |first - aq second|^2.
-    # The coefficient comes first, so a |q| that overflows it never forms
-    # the bracket.  An infinite coefficient is tested before the square is
-    # formed, so a large term raises DegenerateCoefficient, not NonFinite.
+) -> float:
+    # C(aq) |first - aq second|^2.  The coefficient comes first, so a |q|
+    # that overflows it never forms the bracket.  An infinite coefficient
+    # is tested before the square is formed, so a large term raises
+    # DegenerateCoefficient, not NonFinite.
     coefficient = _coefficient(aq, t.lambda_min, t.lambda_max)
     magnitude = _modulus(first - aq * second)
     if math.isinf(coefficient):
         if magnitude < DEGENERATE_TERM:
-            return 0.0, _squared(magnitude)
+            return 0.0
         raise DegenerateCoefficient(
             f"infinite coefficient with trace term {magnitude!r} at q={q!r}"
         )
-    square = _squared(magnitude)
-    return coefficient * square, square
+    return coefficient * _squared(magnitude)
 
 
 def _modulus(z: complex) -> float:
@@ -561,8 +552,11 @@ def _reports(t: _Traces, qs) -> list[BoundReport]:
     infinite coefficient, or the mirrored form of a huge |q|), an
     ``OverflowError`` anywhere in the line (a modulus or square past the
     float range, which those paths report or mirror), and a q-free field
-    that is not finite.  ``tests/test_flat_reports.py`` keeps the loop as
-    it was before the line, as the reference it must equal.
+    that is not finite.  There ``_naive`` forms ``|F - |q| B|^2`` again
+    rather than sharing the square ``_refined`` weights: the same
+    operations, so the same bits, and any error it could raise
+    ``_refined`` has raised first.  ``tests/test_flat_reports.py`` keeps
+    the loop as it was before the line, as the reference it must equal.
     """
     product = t.var_a * t.var_b
     try:
@@ -616,10 +610,10 @@ def _reports(t: _Traces, qs) -> list[BoundReport]:
             except OverflowError:
                 refined = None
         if refined is None:
-            refined, square = _refined(t, q, aq)
+            refined = _refined(t, q, aq)
             if fault is not None:
                 raise fault
-            naive_q = _naive(t, aq, square)
+            naive_q = _naive(t, aq)
             if unfinite is not None:
                 raise unfinite
         if not isfinite(naive_q):

@@ -189,12 +189,10 @@ def cmd_sweep(
     """Evaluate a stored instance on a uniform q grid, endpoints included.
 
     Every report of the grid comes from one evaluation pass over the
-    instance, whose q-free fields ``sweep_q`` evaluates and checks once.
-    So the six instance columns of the records are formatted once, from
-    the first report, and one loop of ``_emit_records`` writes every
-    record, each formatting only its q columns.  All reports are computed
-    before the first byte is written, so an instance the bounds refuse
-    leaves no partial output, and a grid whose reports would pass
+    instance, whose q-free fields ``sweep_q`` evaluates and checks once,
+    and one ``_emit_records`` call writes every record.  All reports are
+    computed before the first byte is written, so an instance the bounds
+    refuse leaves no partial output, and a grid whose reports would pass
     ``bounds._MAX_ALLOC_BYTES`` is refused before anything is allocated.
     """
     if steps < 1:
@@ -220,10 +218,9 @@ def cmd_sweep(
     # Python floats, which sweep_q reads without a NumPy scalar per point.
     grid = np.linspace(q_lo, q_hi, steps).tolist()
     reports = sweep_q(state, a, b, grid)
-    cells = _instance_cells(output_format, reports[0])
     with _out_stream(out) as stream:
         _emit_header(stream, output_format)
-        _emit_records(stream, output_format, reports, cells)
+        _emit_records(stream, output_format, reports)
     return 0
 
 
@@ -287,17 +284,15 @@ def _instance_cells(output_format: str, report: BoundReport) -> str:
     )
 
 
-def _emit_records(
-    stream, output_format: str, reports, cells=None, replay=None
-) -> None:
-    """Write each of ``reports`` as one record, in order.
+def _emit_records(stream, output_format: str, reports, replay=None) -> None:
+    """Write each of ``reports``, the reports of one instance, as one record.
 
-    ``cells`` is the ``_instance_cells`` text shared by all of ``reports``;
-    ``sweep`` formats it once for its whole grid, and when it is None each
-    record formats its own.  Every float field of a report is a Python
-    float, written as its ``repr``; ``dim`` is written as an int and the
-    regime by its value, read as the member's ``_value_`` rather than
-    through the slower ``value`` property.  CSV leaves the cell of a
+    ``verify`` passes one report and ``sweep`` its whole grid.  Their six
+    instance columns are the same, so they are formatted once, from the
+    first report (``_instance_cells``).  Every float field of a report is
+    a Python float, written as its ``repr``; ``dim`` is written as an int
+    and the regime by its value, read as the member's ``_value_`` rather
+    than through the slower ``value`` property.  CSV leaves the cell of a
     missing ratio empty.  JSON writes the layout of ``json.dumps`` with its
     default separators: keys in ``CSV_COLUMNS`` order, ``null`` for a
     missing ratio, and for a violated trial (``replay`` not None, passed
@@ -310,10 +305,10 @@ def _emit_records(
     if replay is not None:
         instance = {k: replay[k] for k in ("dim", "rho", "a", "b")}
         violation = f', "violation": true, "instance": {json.dumps(instance)}'
+    shared = _instance_cells(output_format, reports[0])
     write = stream.write
     for report in reports:
         dim, q, regime, _, _, _, _, _, _, naive_q, refined, slack, ratio = report
-        shared = cells if cells is not None else _instance_cells(output_format, report)
         if csv:
             ratio = "" if ratio is None else repr(ratio)
             write(

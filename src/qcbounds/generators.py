@@ -8,15 +8,16 @@ not depend on the order in which trials run.
 :meth:`SeededRng.generator` is the reference path.  ``verify`` derives the
 same streams in chunks: the private kernel ``_spawn_words`` computes the
 PCG64 seed words of ``SeededRng(seed, index).split(k)`` for every index
-and split of a chunk in one vectorised pass, into one C-contiguous
-``(indices, splits, 4)`` array.  A ``_DerivedStream`` is built on use
-from one row of it, only for a stream the trial draws from, and builds
-the generator that :meth:`SeededRng.generator` would build, bit for bit.
-A trial's q and its rank are one scalar draw each, a fixed function of
-the first 64-bit output of their stream.  ``_first_outputs`` computes
-that output from the seed words, for a whole chunk in one vectorised
-pass of PCG64's seeding and XSL-RR output, so those two streams need no
-Generator of their own.
+of a chunk and every split ``k < _TRIAL_STREAMS`` in one vectorised
+pass, into one C-contiguous ``(indices, splits, 4)`` array.  A
+``_DerivedStream`` is built on use from one row of it, only for a stream
+the trial draws from, and builds the generator that
+:meth:`SeededRng.generator` would build, bit for bit.  A trial's q and
+its rank are one scalar draw each, a fixed function of the first 64-bit
+output of their stream.  ``_first_outputs`` computes that output from
+the seed words, for a whole chunk in one vectorised pass of PCG64's
+seeding and XSL-RR output, so those two streams need no Generator of
+their own, except for the rare rank that Lemire's method might reject.
 
 Instances are drawn the same way on both paths.  The draw order lives in
 two private helpers that fill caller-given float buffers, ``_draw_state``
@@ -179,42 +180,25 @@ def _register_derived_stream() -> None:
     ISeedSequence.register(_DerivedStream)
 
 
-def _derived_streams(seed: int, indices: np.ndarray, splits: int) -> np.ndarray:
-    """Return the seed words of ``SeededRng(seed, index).split(k)``, k < splits.
+def _spawn_words(seed: int, indices: np.ndarray, splits: int) -> np.ndarray:
+    """Return the PCG64 seed words of ``SeededRng(seed, i).split(k)``, k < splits.
 
     The result is one C-contiguous ``(len(indices), splits, 4)`` uint64
-    array from a single ``_spawn_words`` pass; ``_DerivedStream(words[r, k])``
-    is the stream of ``indices[r]`` and split ``k``.
-    """
-    indices = np.asarray(indices, dtype=np.uint64)
-    return _spawn_words(seed, indices[:, None], np.arange(splits, dtype=np.uint64))
-
-
-def _spawn_words(seed: int, indices: np.ndarray, k) -> np.ndarray:
-    """Return the PCG64 seed words of ``SeededRng(seed, i).split(k)`` per index i.
-
-    ``k`` is an int or an array that broadcasts against ``indices``; the
-    result has their broadcast shape plus a last axis of the four words.
-    Entry ``r`` equals ``np.random.SeedSequence(entropy=seed, spawn_key=(
-    indices[r], k[r])).generate_state(4, np.uint64)``: the same hash, run
-    on uint64 arrays under a 32-bit mask.  The seed-only part of the pool
-    stays scalar.  Every index and split must be below 2**32, where each
-    is one entropy word; larger ones raise.
+    array; ``_DerivedStream(words[r, k])`` is the stream of ``indices[r]``
+    and split ``k``.  Entry ``[r, k]`` equals ``np.random.SeedSequence(
+    entropy=seed, spawn_key=(indices[r], k)).generate_state(4,
+    np.uint64)``: the same hash, run on uint64 arrays under a 32-bit mask.
+    The seed-only part of the pool stays scalar.  Every index must be
+    below 2**32, where it is one entropy word; larger ones raise.
     """
     seed = SeededRng(seed).seed
     indices = np.asarray(indices, dtype=np.uint64)
-    splits = np.asarray(k)
-    if (
-        np.any(indices > _MASK32)
-        or splits.dtype.kind not in "iu"
-        or np.any(splits < 0)
-        or np.any(splits > _MASK32)
-    ):
+    if np.any(indices > _MASK32):
         raise DomainError("batched stream indices must be below 2**32")
-    k = splits.astype(np.uint64)
+    k = np.arange(splits, dtype=np.uint64)
     # Assembled entropy: the seed's one or two words, zero-padded to the
     # pool size because a spawn key follows, then the spawn key.
-    entropy = [seed & _MASK32, seed >> 32, 0, 0, indices, k]
+    entropy = [seed & _MASK32, seed >> 32, 0, 0, indices[:, None], k]
     hashes = _hash_constants(_INIT_A, _MULT_A)
     pool = [_hashmix(word, hashes) for word in entropy[:_POOL_SIZE]]
     for src in range(_POOL_SIZE):
@@ -234,13 +218,14 @@ def _first_outputs(words: np.ndarray) -> np.ndarray:
     """Return the first 64-bit PCG64 output of every stream, from its seed words.
 
     ``words`` is a uint64 array of at least two axes whose last axis holds
-    the four words ``(w0, w1, w2, w3)`` of a ``_spawn_words`` result; the
-    output has the other axes.  Entry ``r`` equals ``_DerivedStream(
-    words[r]).generator().bit_generator.random_raw()``.  It seeds as
-    NumPy's ``pcg64_set_seed`` does: the state ``w0 * 2**64 + w1`` and the
-    increment ``2 * (w2 * 2**64 + w3) + 1``, two seeding steps, then one
-    more step and the XSL-RR output (O'Neill, "PCG: A Family of Simple
-    Fast Space-Efficient Statistically Good Algorithms for Random Number
+    the four words ``(w0, w1, w2, w3)`` of one stream, as in a
+    ``_spawn_words`` block; the output has the other axes.  Entry ``r``
+    equals ``_DerivedStream(words[r]).generator().bit_generator
+    .random_raw()``.  It seeds as NumPy's ``pcg64_set_seed`` does: the
+    state ``w0 * 2**64 + w1`` and the increment
+    ``2 * (w2 * 2**64 + w3) + 1``, two seeding steps, then one more step
+    and the XSL-RR output (O'Neill, "PCG: A Family of Simple Fast
+    Space-Efficient Statistically Good Algorithms for Random Number
     Generation", 2014).  A 128-bit value is a pair of uint64 arrays, high
     and low, that wrap mod 2**64 without a warning, as NumPy scalars
     would not.
@@ -364,7 +349,7 @@ def _trial_batches(seed, dims, trials_per_dim, q_lo, q_hi, mixed):
     ``qs`` and the ``_Instances`` ``stack`` hold trials ``first, first +
     1, ...``, all of one dim.  ``mixed`` draws a rank below the dim for odd
     trials.  A batch never spans two chunks of ``_CHUNK_TRIALS``.  Per
-    chunk, one ``_derived_streams`` pass derives the seed words of every
+    chunk, one ``_spawn_words`` pass derives the seed words of every
     stream and one ``_q_and_ranks`` pass forms every q and rank, without a
     Generator; so a batch of four n = 32 trials pays neither pass's fixed
     cost.  A batch holds at most ``_batch_rows(dim)`` trials and is drawn
@@ -375,7 +360,7 @@ def _trial_batches(seed, dims, trials_per_dim, q_lo, q_hi, mixed):
     for start in range(0, total, _CHUNK_TRIALS):
         stop = min(start + _CHUNK_TRIALS, total)
         indices = np.arange(start, stop, dtype=np.uint64)
-        words = _derived_streams(seed, indices, _TRIAL_STREAMS)
+        words = _spawn_words(seed, indices, _TRIAL_STREAMS)
         trial_dims = dim_of[indices // trials_per_dim]
         qs, ranks = _q_and_ranks(words, start, trial_dims, q_lo, q_hi, mixed)
         first = start
@@ -393,7 +378,7 @@ def _q_and_ranks(words, first, dims, q_lo, q_hi, mixed):
 
     Trial ``first + offset`` has dim ``dims[offset]`` (a uint64 array) and
     the streams whose seed words are ``words[offset]`` (a
-    ``_derived_streams`` block).  Its q is ``Generator.uniform(q_lo,
+    ``_spawn_words`` block).  Its q is ``Generator.uniform(q_lo,
     q_hi)`` of split 0 unless its slot pins a boundary value; under
     ``mixed``, an odd trial of dim 2 or more has rank
     ``Generator.integers(1, dim)`` of split 1, and every other trial its
@@ -427,7 +412,7 @@ def _draw_trials(words, ranks, dim):
 
     Trial ``offset`` has rank ``ranks[offset]`` and draws its state, A and
     B from the streams whose seed words are ``words[offset, 2:]`` (a
-    ``_derived_streams`` block), one Generator each, exactly as
+    ``_spawn_words`` block), one Generator each, exactly as
     ``random_density`` and ``random_hermitian`` draw from theirs.  The
     draws go into row ``offset`` of the exponential stack and of the (m,
     3, 2, dim, dim) Gaussian stack, whose pairs hold the real and the

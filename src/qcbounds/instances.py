@@ -54,9 +54,26 @@ def payload_to_instance(
     return make_density(rho), make_hermitian(a), make_hermitian(b)
 
 
-def render_document(payload: dict) -> str:
+def render_document(payload) -> str:
     """Render a document to canonical JSON text with 17-digit floats."""
-    return _render(payload)
+    if isinstance(payload, dict):
+        inner = ", ".join(
+            f"{json.dumps(str(k))}: {render_document(v)}" for k, v in payload.items()
+        )
+        return "{" + inner + "}"
+    if isinstance(payload, (list, tuple)):
+        return "[" + ", ".join(render_document(v) for v in payload) + "]"
+    if isinstance(payload, bool):
+        return "true" if payload else "false"
+    if isinstance(payload, (int, np.integer)):
+        return str(int(payload))
+    if isinstance(payload, (float, np.floating)):
+        return format(float(payload), ".17g")
+    if isinstance(payload, str):
+        return json.dumps(payload)
+    if payload is None:
+        return "null"
+    raise TypeError(f"cannot render {type(payload).__name__} as JSON")
 
 
 def save_instance(
@@ -127,22 +144,3 @@ def _matrix_from_grid(grid, n: int, name: str) -> np.ndarray:
                     f"{name}[{i}][{j}] is past the float range"
                 ) from None
     return out
-
-
-def _render(value) -> str:
-    if isinstance(value, dict):
-        inner = ", ".join(f"{json.dumps(str(k))}: {_render(v)}" for k, v in value.items())
-        return "{" + inner + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_render(v) for v in value) + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    if isinstance(value, str):
-        return json.dumps(value)
-    if value is None:
-        return "null"
-    raise TypeError(f"cannot render {type(value).__name__} as JSON")

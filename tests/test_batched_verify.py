@@ -25,7 +25,7 @@ from qcbounds.bounds import (
     _trace_rows,
     _traces,
 )
-from qcbounds.generators import _derived_streams
+from qcbounds.generators import _spawn_words
 
 # Full batches at n = 16 and n = 64 (and n = 32 with four rows) are
 # large enough for the trace kernel to run half its traces on a second
@@ -103,7 +103,7 @@ def full_batch(dim, seed):
 def test_batched_rows_equal_reference_path(case):
     plan, dim, first, size = case
     indices = np.arange(first, first + size, dtype=np.uint64)
-    streams = _derived_streams(plan.seed, indices, generators._TRIAL_STREAMS)
+    streams = _spawn_words(plan.seed, indices, generators._TRIAL_STREAMS)
     mixed = plan.rank_policy == "mixed"
     dims = np.full(size, dim, dtype=np.uint64)
     qs, ranks = generators._q_and_ranks(
@@ -152,7 +152,7 @@ def test_batches_stay_in_one_dim_one_chunk_and_under_the_cap(monkeypatch):
         last = first + len(words)
         cuts.append((dim, first, last))
         indices = np.arange(first, last, dtype=np.uint64)
-        expected = _derived_streams(3, indices, generators._TRIAL_STREAMS)
+        expected = _spawn_words(3, indices, generators._TRIAL_STREAMS)
         assert words.tobytes() == expected.tobytes()
         # Each batch gets its own trials' q values and ranks.
         dims = np.full(len(words), dim, dtype=np.uint64)

@@ -185,6 +185,17 @@ def test_verify_plan_refuses_draw_stacks_past_the_memory_ceiling():
     assert plan(20000, 0).problems() == ["every dim must be >= 1"]
 
 
+def test_verify_plan_takes_one_q_value_and_sizes_a_plan_with_dim_1():
+    # problems() alone, so nothing is drawn or allocated.
+    def plan(dims, q_lo=-3.0, q_hi=3.0):
+        return cli.TrialPlan(dims, 1, q_lo, q_hi, "mixed", 0, 1e-9, "csv")
+
+    assert plan((2,), 0.5, 0.5).problems() == []
+    assert plan((1, 20000)).problems() == [
+        "dim 20000 needs more than the 1 GiB limit for one batch of draws"
+    ]
+
+
 @pytest.mark.parametrize(
     "command, module, target, start",
     [

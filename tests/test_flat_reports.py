@@ -47,10 +47,10 @@ def reference_reports(t: _Traces, qs) -> list[BoundReport]:
         q = float(q)
         regime = classify_q(q)
         aq = abs(q)
-        refined, square = _refined(t, q, aq)
+        refined = _refined(t, q, aq)
         if fault is not None:
             raise fault
-        naive_q = _naive(t, aq, square)
+        naive_q = _naive(t, aq)
         if unfinite is not None:
             raise unfinite
         if not isfinite(naive_q):

@@ -10,7 +10,6 @@ from qcbounds import cli, generators
 from qcbounds.bounds import _batch_rows
 from qcbounds.errors import DomainError, InvalidDimension, InvalidRank
 from qcbounds.generators import (
-    _derived_streams,
     _DerivedStream,
     _draw_state,
     _first_outputs,
@@ -150,15 +149,8 @@ INDICES = st.lists(
 )
 
 
-# One split as an int, or an array of one-word splits broadcast against
-# the indices as a column.
-SPLITS = st.one_of(
-    st.integers(0, 4),
-    st.lists(
-        st.one_of(st.sampled_from([0, 4, 2**32 - 1]), st.integers(0, 2**32 - 1)),
-        min_size=1, max_size=5,
-    ),
-)
+# The number of splits per index; verify derives five.
+SPLITS = st.integers(0, generators._TRIAL_STREAMS)
 
 
 def seed_sequence_words(seed, index, k):
@@ -168,35 +160,28 @@ def seed_sequence_words(seed, index, k):
 
 @given(SEEDS, INDICES, SPLITS)
 @settings(max_examples=150, deadline=None)
-def test_spawn_words_equal_seed_sequence_bitwise(seed, indices, k):
-    column = np.array(indices, dtype=np.uint64)
-    if isinstance(k, int):
-        words = _spawn_words(seed, column, k)
-        assert words.shape == (len(indices), 4)
-        words, splits = words[:, None], [k]
-    else:
-        splits = k
-        words = _spawn_words(seed, column[:, None], np.array(k, dtype=np.uint64))
-        assert words.shape == (len(indices), len(k), 4)
+def test_spawn_words_equal_seed_sequence_bitwise(seed, indices, splits):
+    words = _spawn_words(seed, np.array(indices, dtype=np.uint64), splits)
+    assert words.shape == (len(indices), splits, 4)
     assert words.dtype == np.uint64
     for row, index in zip(words, indices):
-        for cell, split in zip(row, splits):
+        for split, cell in enumerate(row):
             assert cell.tolist() == seed_sequence_words(seed, index, split).tolist()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
 def test_spawn_words_equal_seed_sequence_at_word_edges(seed):
     indices = [0, 1, 2**32 - 1]
+    words = _spawn_words(seed, np.array(indices, dtype=np.uint64), 5)
     for k in range(5):
-        words = _spawn_words(seed, np.array(indices, dtype=np.uint64), k)
         expected = [seed_sequence_words(seed, i, k).tolist() for i in indices]
-        assert words.tolist() == expected
+        assert words[:, k].tolist() == expected
 
 
 @given(SEEDS, INDICES, st.integers(2, 9))
 @settings(max_examples=60, deadline=None)
 def test_derived_streams_draw_like_seeded_rng(seed, indices, n):
-    words = _derived_streams(seed, np.array(indices, dtype=np.uint64), 5)
+    words = _spawn_words(seed, np.array(indices, dtype=np.uint64), 5)
     # PCG64 reads each row of four words through a raw pointer.
     assert words.dtype == np.uint64
     assert words.shape == (len(indices), 5, 4)
@@ -216,23 +201,17 @@ def test_derived_streams_draw_like_seeded_rng(seed, indices, n):
 
 def test_spawn_words_reject_wide_indices():
     with pytest.raises(DomainError):
-        _spawn_words(5, np.array([0, 2**32], dtype=np.uint64), 0)
+        _spawn_words(5, np.array([0, 2**32], dtype=np.uint64), 1)
     with pytest.raises(DomainError):
-        _spawn_words(5, np.array([2**64 - 1], dtype=np.uint64), 2)
-    with pytest.raises(DomainError):
-        _spawn_words(5, np.array([3], dtype=np.uint64), 2**32)
-    column = np.array([[3]], dtype=np.uint64)
-    for splits in ([0, 2**32], [-1, 0], [2**64 - 1], [0.5]):
-        with pytest.raises(DomainError):
-            _spawn_words(5, column, np.array(splits))
+        _spawn_words(5, np.array([2**64 - 1], dtype=np.uint64), 3)
     for seed in (-1, 2**64, 5.0):
         with pytest.raises(DomainError):
-            _spawn_words(seed, np.array([3], dtype=np.uint64), 0)
-    assert _spawn_words(5, np.array([], dtype=np.uint64), 0).shape == (0, 4)
+            _spawn_words(seed, np.array([3], dtype=np.uint64), 1)
+    assert _spawn_words(5, np.array([], dtype=np.uint64), 5).shape == (0, 5, 4)
 
 
 def test_derived_stream_serves_only_pcg64_seeding():
-    words = _derived_streams(3, np.array([7], dtype=np.uint64), 1)[0, 0]
+    words = _spawn_words(3, np.array([7], dtype=np.uint64), 1)[0, 0]
     stream = _DerivedStream(words)
     # PCG64's own request takes the identity test; an equal dtype the check.
     assert stream.generate_state(4, np.uint64) is words
@@ -361,7 +340,7 @@ def test_first_outputs_equal_pcg64(rows):
 
 def test_lemire_equals_integers_for_every_dim_up_to_4096():
     dims = np.arange(2, 4097, dtype=np.uint64)
-    words = _spawn_words(17, dims, 1)
+    words = _spawn_words(17, dims, 2)[:, 1]
     below, exact = _lemire(_first_outputs(words), dims - 1)
     assert exact.all()
     for row, dim, rank in zip(words, dims.tolist(), (1 + below).tolist()):
@@ -376,7 +355,7 @@ def test_rank_falls_back_to_the_generator_only_where_lemire_may_reject(generator
     # word 0, so Lemire's rejection test can fire, and at dim 4 NumPy does
     # draw again (2**32 mod 3 = 1 > 0).  Trial 3's low word is 1: its
     # product's low word equals the span, so no redraw can happen.
-    words = _derived_streams(8, np.arange(4, dtype=np.uint64), 5)
+    words = _spawn_words(8, np.arange(4, dtype=np.uint64), 5)
     words[1, 1] = words_for_output(0xDEADBEEF00000000)
     words[3, 1] = words_for_output(0x1234567800000001)
     for dim in (2, 3, 4, 8):
@@ -409,7 +388,7 @@ def test_verify_builds_generators_only_for_state_a_and_b(
     )
     # The seed is one where no odd trial's rank can need Lemire's redraw.
     trials = len(plan.dims) * plan.trials_per_dim
-    words = _derived_streams(plan.seed, np.arange(trials, dtype=np.uint64), 2)
+    words = _spawn_words(plan.seed, np.arange(trials, dtype=np.uint64), 2)
     dims = np.repeat(np.array(plan.dims, dtype=np.uint64), plan.trials_per_dim)
     assert _lemire(_first_outputs(words[:, 1]), dims - 1)[1][dims >= 2].all()
     assert cli.cmd_verify(plan, out=str(tmp_path / "out.csv")) == 0

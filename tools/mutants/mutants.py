@@ -74,7 +74,7 @@ def mutants(source: str) -> list[Mutant]:
     }
     found = []
     for function in _functions(ast.parse(source)):
-        for node in ast.walk(function):
+        for node in _nodes(function):
             for start, end, old, new in _sites(node, lines, operators):
                 found.append(_mutant(function.name, lines, start, end, old, new))
     found.sort(key=lambda m: (m.line, m.column))
@@ -91,6 +91,16 @@ def _functions(tree: ast.Module):
                 for item in node.body
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
             )
+
+
+def _nodes(node):
+    # ``node`` and every node under it, but none inside an f-string: those
+    # only format messages, and on Python 3.11 tokenize returns a whole
+    # f-string as one STRING token, so their operators have no token.
+    yield node
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, ast.JoinedStr):
+            yield from _nodes(child)
 
 
 def _position(lines, line: int, byte_col: int) -> tuple[int, int]:

@@ -61,6 +61,14 @@ def test_each_mutant_changes_one_token_inside_a_function():
     assert "return (x) + -y" in found[4].source
 
 
+def test_operators_inside_f_strings_are_not_mutated():
+    # They only format messages; the plain division is the module's one mutant.
+    source = 'def f(a, b):\n    return f"{a / b:.3f}", a / b\n'
+    found = mutants.mutants(source)
+    assert [(m.line, m.column, m.old, m.new) for m in found] == [(2, 29, "/", "*")]
+    assert found[0].source == 'def f(a, b):\n    return f"{a / b:.3f}", a * b\n'
+
+
 def test_run_counts_a_failing_command_as_killed(tmp_path):
     (tmp_path / "m.py").write_text("def inc(x):\n    return x + 1.0\n")
     check = "import m; assert m.inc(1.0) == 2.0"
