@@ -20,14 +20,14 @@ every bound on one instance; it is the record the CLI streams out.
 Values past the float range raise ``NonFinite``, never a bare
 ``OverflowError``.  Tests check the proof steps behind the bound.
 
-The pass is one kernel, ``_trace_kernel``, that takes one instance or a
-stack of them.  ``_traces`` runs it on one instance; ``verify`` and
+The pass is one kernel, ``_trace_kernel``, over a stack of instances.
+``_traces`` runs it on one instance as a one-row stack; ``verify`` and
 ``search`` run it once per stack of instances (``hermitian._Instances``)
 through ``_trace_rows`` and judge the master inequality with
-``_violated``.  Both hand the kernel's columns on as Python numbers
-(``_row``), so everything after the kernel is Python float and complex
-arithmetic: the same bits as on NumPy scalars, at about a quarter of the
-cost per bracket.  Each field has one per-q path on top of the pass:
+``_violated``.  Both hand the kernel's columns on as Python numbers, so
+everything after the kernel is Python float and complex arithmetic: the
+same bits as on NumPy scalars, at about a quarter of the cost per
+bracket.  Each field has one per-q path on top of the pass:
 ``_robertson``, ``_naive`` and ``_refined``, which the one-bound public
 functions call.  One scalar layer, ``_reports``, evaluates and checks
 the fields that read no q (``product`` and ``robertson``) once per
@@ -156,9 +156,8 @@ def q_trace_term(
     """
     _check_same_dim(state, a0)
     _check_same_dim(state, b0)
-    forward = _trace3(state.mat, a0.mat, b0.mat)
-    backward = _trace3(state.mat, b0.mat, a0.mat)
-    return complex(forward - q * backward)
+    rho, x, y = state.mat[None], a0.mat[None], b0.mat[None]
+    return complex(_trace3(rho, x, y)[0] - q * _trace3(rho, y, x)[0])
 
 
 def robertson_bound(
@@ -317,12 +316,13 @@ def sweep_q(
 
 
 class _Traces(NamedTuple):
-    """One evaluation pass over an instance, which every bound reads."""
+    """One row of the evaluation pass, which every bound reads."""
 
     dim: int
-    var_a: float
-    var_b: float
-    # Python numbers, so every per-q bracket F - |q| B is plain Python
+    var_a: float  # Tr[rho A0^2], clamped at zero
+    var_b: float  # Tr[rho B0^2], clamped at zero
+    # Python numbers, read off the kernel's columns by ``_traces`` and
+    # ``_trace_rows``, so every per-q bracket F - |q| B is plain Python
     # arithmetic.  It rounds exactly as q_trace_term's NumPy scalars do:
     # both multiply a float by a complex as (x + 0j) * z, re re - im im and
     # re im + im re, without FMA, then subtract part by part.
@@ -418,9 +418,14 @@ def _squared(magnitude: float) -> float:
 
 
 def _traces(state: DensityMatrix, a: HermitianMatrix, b: HermitianMatrix) -> _Traces:
+    # The pass over one instance, run as a one-row stack.
     _check_same_dim(state, a)
     _check_same_dim(state, b)
-    return _row(state.dim, _trace_kernel(state.mat, state.eigenvalues, a.mat, b.mat))
+    columns = _trace_kernel(
+        state.mat[None], state.eigenvalues[None], a.mat[None], b.mat[None]
+    )
+    second_a, second_b, *rest = [column.item() for column in columns]
+    return _Traces(state.dim, max(second_a, 0.0), max(second_b, 0.0), *rest)
 
 
 def _batch_rows(n: int) -> int:
@@ -438,18 +443,17 @@ def _trace_rows(stack: _Instances) -> Iterator[_Traces]:
     """
     dim = stack.rho.shape[-1]
     columns = _trace_kernel(stack.rho, stack.vals, stack.a, stack.b)
-    for row in zip(*[column.tolist() for column in columns]):
-        yield _row(dim, row)
+    for second_a, second_b, *rest in zip(*[column.tolist() for column in columns]):
+        yield _Traces(dim, max(second_a, 0.0), max(second_b, 0.0), *rest)
 
 
 def _trace_kernel(rho, vals, a, b) -> tuple:
-    # The one evaluation pass, over one instance (2-D matrices, 1-D
-    # spectrum) or a stack of them.  Returns the columns second moments of
-    # A0 and B0, Tr[rho A0 B0], Tr[rho B0 A0], Tr[rho [A,B]], lambda_min
-    # and lambda_max: NumPy scalars for one instance, arrays for a stack.
-    # The six traces are independent.  Where one covers _SPLIT_TRIPLES
-    # triple products (rho.size * n, m n^3 for m rows) and a second CPU
-    # is available, _split_traces makes the same six einsum calls on two
+    # The one evaluation pass, over (m, n, n) stacks and their (m, n)
+    # spectra.  Returns the length-m columns second moments of A0 and B0,
+    # Tr[rho A0 B0], Tr[rho B0 A0], Tr[rho [A,B]], lambda_min and
+    # lambda_max.  The six traces are independent.  Where one covers
+    # _SPLIT_TRIPLES triple products (m n^3) and a second CPU is
+    # available, _split_traces makes the same six einsum calls on two
     # threads, so every column keeps its bytes.
     a0 = _centred(rho, a)
     b0 = _centred(rho, b)
@@ -465,8 +469,8 @@ def _trace_kernel(rho, vals, a, b) -> tuple:
         forward,
         backward,
         raw_ab - raw_ba,
-        vals[..., 0],
-        vals[..., -1],
+        vals[:, 0],
+        vals[:, -1],
     )
 
 
@@ -495,26 +499,6 @@ def _split_traces(rho, pairs) -> list:
     if failure:
         raise failure[0]
     return mine + theirs
-
-
-def _row(dim: int, row) -> _Traces:
-    """Return the ``_Traces`` of one row of kernel columns.
-
-    The row holds NumPy scalars (``_traces``) or Python numbers
-    (``_trace_rows``); either way every field comes out a Python
-    ``float`` or ``complex`` of the same value.
-    """
-    second_a, second_b, forward, backward, commutator, lambda_min, lambda_max = row
-    return _Traces(
-        dim=dim,
-        var_a=max(float(second_a), 0.0),
-        var_b=max(float(second_b), 0.0),
-        forward=complex(forward),
-        backward=complex(backward),
-        commutator=complex(commutator),
-        lambda_min=float(lambda_min),
-        lambda_max=float(lambda_max),
-    )
 
 
 def _report(t: _Traces, q: float) -> BoundReport:

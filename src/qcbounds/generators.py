@@ -128,12 +128,7 @@ class SeededRng:
         """Return the independent sub-stream at ``index`` under this one."""
         if not isinstance(index, (int, np.integer)) or index < 0:
             raise DomainError("split index must be a nonnegative integer")
-        # seed, stream and path were validated when this value was built.
-        child = object.__new__(SeededRng)
-        object.__setattr__(child, "seed", self.seed)
-        object.__setattr__(child, "stream", self.stream)
-        object.__setattr__(child, "path", self.path + (int(index),))
-        return child
+        return SeededRng(self.seed, self.stream, (*self.path, index))
 
     def generator(self) -> np.random.Generator:
         """Return a fresh generator positioned at the start of the stream."""

@@ -15,20 +15,22 @@ The arithmetic lives in two array functions that act on the trailing two
 axes, so one call serves one matrix or a stack of them:
 :func:`_symmetrised`, the ``(M + M†) / 2`` of :func:`make_hermitian`, and
 :func:`_density_arrays`, the matrix and normalised spectrum of a state
-given as a spectrum and a frame.  :func:`_hermitian_value` and
-:func:`_density_value` wrap their results as they are, read-only, with no
-check: :func:`make_hermitian` and :func:`make_density` call them after
-their checks, and ``generators.random_hermitian`` and ``random_density``
-on their draws.
+given as a spectrum and a frame, which :func:`density_from_decomposition`
+builds through too.  :func:`_hermitian_value` and :func:`_density_value`
+wrap their results as they are, read-only, with no check:
+:func:`make_hermitian` and :func:`make_density` call them after their
+checks, and ``generators.random_hermitian`` and ``random_density`` on
+their draws.
 
 ``verify`` (``generators._draw_trials``) and ``search``
 (``search._decode_batch``) build whole stacks of instances at once, as
 an :class:`_Instances`, which ``bounds._trace_rows`` evaluates.  Every
 step acts row by row, so row ``i`` is bitwise the instance built from
 its inputs alone, and :meth:`_Instances.row` wraps read-only copies of
-it as value types.  :func:`_centred` and :func:`_trace3`, which
-:func:`center`, :func:`variance` and ``bounds`` evaluate through, take
-one matrix or a stack as well.
+it as value types.  The evaluation pass has one layout, the stack:
+:func:`_centred` and :func:`_trace3` take ``(m, n, n)`` arrays only, and
+:func:`center`, :func:`variance` and ``bounds`` run a lone instance as a
+one-row stack.
 """
 
 from __future__ import annotations
@@ -286,45 +288,39 @@ def density_from_decomposition(eigenvalues, eigenvectors) -> DensityMatrix:
     frame = np.asarray(eigenvectors, dtype=complex)
     if vals.ndim != 1 or frame.shape != (vals.size, vals.size):
         raise DimensionMismatch("spectrum and frame shapes disagree")
-    mat = _symmetrised((frame * vals) @ frame.conj().T)
-    return DensityMatrix(mat, vals, frame)
+    return DensityMatrix(_density_arrays(vals, frame)[0], vals, frame)
 
 
 def center(state: DensityMatrix, obs: HermitianMatrix) -> HermitianMatrix:
     """Shift ``obs`` by its expectation so the centred mean vanishes."""
     _check_same_dim(state, obs)
-    return HermitianMatrix(_centred(state.mat, obs.mat))
+    return HermitianMatrix(_centred(state.mat[None], obs.mat[None])[0])
 
 
 def variance(state: DensityMatrix, obs: HermitianMatrix) -> float:
     """Return Tr[rho A0^2] for the centred observable A0, clamped at zero."""
     _check_same_dim(state, obs)
-    a0 = _centred(state.mat, obs.mat)
-    return max(float(_trace3(state.mat, a0, a0).real), 0.0)
+    rho = state.mat[None]
+    a0 = _centred(rho, obs.mat[None])
+    return max(float(_trace3(rho, a0, a0)[0].real), 0.0)
 
 
-# Einsum subscripts of Tr[rho X] and Tr[rho X Y], keyed by the number of
-# axes of rho: one matrix, or a stack of them along a leading axis.  The
-# subscripts are spelled out because ``...`` makes every call slower.
-_TRACE2 = {2: "ij,ji->", 3: "nij,nji->n"}
-_TRACE3 = {2: "ij,jk,ki->", 3: "nij,njk,nki->n"}
-
-
-def _trace3(rho: np.ndarray, x: np.ndarray, y: np.ndarray):
-    # Tr[rho X Y] of one instance, or per instance of a stack.
-    return np.einsum(_TRACE3[rho.ndim], rho, x, y)
+def _trace3(rho: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # Tr[rho X Y] per instance of (m, n, n) stacks.  The subscripts are
+    # spelled out because ``...`` makes every call slower.
+    return np.einsum("nij,njk,nki->n", rho, x, y)
 
 
 def _centred(rho: np.ndarray, obs: np.ndarray) -> np.ndarray:
-    # The one centring routine, for one matrix or a stack of them: each
-    # observable minus its expectation Tr[rho A] on the diagonal.  A real
-    # shift of the diagonal keeps a Hermitian matrix Hermitian, so
-    # internal callers skip re-validation.
-    mean = np.einsum(_TRACE2[rho.ndim], rho, obs).real
+    # The one centring routine, over (m, n, n) stacks: each observable
+    # minus its expectation Tr[rho A] on the diagonal.  A real shift of
+    # the diagonal keeps a Hermitian matrix Hermitian, so internal callers
+    # skip re-validation.
+    mean = np.einsum("nij,nji->n", rho, obs).real
     shifted = obs.copy()
-    n = obs.shape[-1]
-    diagonal = shifted.reshape(*obs.shape[:-2], n * n)[..., :: n + 1]
-    diagonal -= mean[..., None]
+    m, n = obs.shape[:2]
+    diagonal = shifted.reshape(m, n * n)[:, :: n + 1]
+    diagonal -= mean[:, None]
     return shifted
 
 

@@ -120,7 +120,8 @@ def test_commutator_trace_is_imaginary(seed, n):
 def test_q_trace_term_equals_the_bracket_of_the_evaluation_pass(seed, n, q):
     # The bounds form their brackets in Python arithmetic from the pass's
     # F and B, Python complex numbers; q_trace_term forms the same bracket
-    # from NumPy scalars.  The two must round alike.
+    # from NumPy scalars.  The two must round alike, and ``variance``
+    # must give the pass's var_a.
     state, a, b = random_instance(seed, n)
     t = bounds._traces(state, a, b)
     direct = qc.q_trace_term(state, qc.center(state, a), qc.center(state, b), q)
@@ -129,6 +130,7 @@ def test_q_trace_term_equals_the_bracket_of_the_evaluation_pass(seed, n, q):
         bracket.real.hex(),
         bracket.imag.hex(),
     )
+    assert qc.variance(state, a).hex() == t.var_a.hex()
 
 
 # Parts of a bracket operand: signed zeros, subnormals, the edges of the

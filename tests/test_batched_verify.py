@@ -3,11 +3,12 @@
 Each trial draws from its own streams; the draws of consecutive trials of
 one dim are then stacked, and QR, the density build, the symmetrisation
 and the trace pass run once per batch.  These tests pin every batched row
-to the single-instance reference path (``random_density``,
-``random_hermitian`` and ``_traces`` on streams built by
-``SeededRng.generator``) by ``.tobytes()``.  Bitwise agreement of stacked
-and one-at-a-time LAPACK, matmul and einsum calls was measured on NumPy
-2.4.6 with its bundled OpenBLAS, as the golden digests in test_cli.py.
+to the single-instance reference path (``random_density`` and
+``random_hermitian`` on streams built by ``SeededRng.generator``, then
+``_traces``, the pass on a one-row stack) by ``.tobytes()``.  Bitwise
+agreement of stacked and one-at-a-time LAPACK, matmul and einsum calls
+was measured on NumPy 2.4.6 with its bundled OpenBLAS, as the golden
+digests in test_cli.py.
 """
 
 import io
@@ -29,7 +30,7 @@ from qcbounds.generators import _spawn_words
 
 # Full batches at n = 16 and n = 64 (and n = 32 with four rows) are
 # large enough for the trace kernel to run half its traces on a second
-# thread; the single-instance reference at n = 16 runs them all on one.
+# thread; the one-row reference pass at n = 16 runs them all on one.
 DIMS = [1, 2, 3, 4, 5, 6, 7, 8, 16, 32, 64]
 
 

@@ -50,8 +50,9 @@ def test_rng_split_is_stable_and_nested():
     base = qc.SeededRng(9, 2)
     assert base.split(4) == qc.SeededRng(9, 2, (4,))
     assert base.split(4).split(1) == qc.SeededRng(9, 2, (4, 1))
-    # split builds its child without re-validating; the child must still
-    # equal, hash and draw like the validated value, with a plain-int path.
+    # split builds its child through the validating constructor, so a
+    # NumPy index comes out a plain int: the child equals, hashes and
+    # draws like the value built directly.
     chained = base.split(4).split(np.int64(1))
     direct = qc.SeededRng(9, 2, (4, 1))
     assert hash(chained) == hash(direct)

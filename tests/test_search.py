@@ -34,6 +34,19 @@ def test_tightness_ratio_absent_for_zero_variance(pauli_z):
     assert qc.bound_report(pure, pauli_z, pauli_z, 1.0).ratio is None
 
 
+def test_search_scores_a_point_with_no_ratio_zero():
+    # A theta whose A coordinates are all 0 decodes to A = 0: the variance
+    # product is 0.0, the report has no ratio, and the point must score
+    # 0.0, not count as an equality case.
+    n, k = 2, 4
+    theta = np.zeros((1, n + 3 * k))
+    theta[0, n + 2 * k :] = [1.0, -0.5, 0.25, 0.75]
+    ((decoded, row, score),) = search._outcomes(theta, n, 0.5)
+    report = qc.bound_report(*decoded.row(row), 0.5)
+    assert report.product == 0.0 and report.ratio is None
+    assert type(score) is float and score == 0.0
+
+
 def test_sweep_preserves_order(mixed_qubit, pauli_x, pauli_y):
     grid = [-2.0, -1.0, 0.0, 1.0, 2.0]
     reports = qc.sweep_q(mixed_qubit, pauli_x, pauli_y, grid)

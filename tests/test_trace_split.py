@@ -18,24 +18,22 @@ from qcbounds import bounds, cli
 
 from conftest import random_instance
 
-# (rows, n) of the stacks checked, each at and past the threshold; rows
-# = 0 is one 2-D instance.
-SHAPES = [(64, 8), (16, 16), (4, 32), (1, 64), (0, 64)]
+# (rows, n) of the stacks checked, each at and past the threshold.
+SHAPES = [(64, 8), (16, 16), (4, 32), (1, 64)]
 
 
 def instance_stack(rows, n, seed):
-    # Trace-kernel arguments for ``rows`` instances of dim n (one 2-D
-    # instance at rows = 0); the even rows have rank n / 2.
+    # Trace-kernel arguments for ``rows`` instances of dim n; the even
+    # rows have rank n / 2.
     states, obs_a, obs_b = [], [], []
-    for row in range(max(rows, 1)):
+    for row in range(rows):
         state, a, b = random_instance(seed + row, n, n if row % 2 else n // 2)
         states.append(state)
         obs_a.append(a.mat)
         obs_b.append(b.mat)
     rho = np.stack([s.mat for s in states])
     vals = np.stack([s.eigenvalues for s in states])
-    args = rho, vals, np.stack(obs_a), np.stack(obs_b)
-    return tuple(x[0] for x in args) if rows == 0 else args
+    return rho, vals, np.stack(obs_a), np.stack(obs_b)
 
 
 def columns_bytes(columns):

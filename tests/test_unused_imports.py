@@ -1,10 +1,16 @@
-"""No module of the package imports a name it never reads.
+"""No module of the package imports a name it never reads, and no private
+name of the package goes unread.
 
 No linter ships with the test dependencies, so this stdlib ``ast`` check
 stands in for pyflakes' F401.  Three kinds of import are exempt: the
 ``__future__`` import, the names ``__init__`` re-exports through
 ``__all__``, and the hook-only imports marked ``# noqa: F401``, which
 exist so that ``perfbench/spans.py`` can rebind them in traced runs.
+
+The second check finds dead private code: every module-level private
+function, class and constant, and every private method, must be read
+somewhere in the package, as a loaded name or an attribute.  No private
+name is exempt.
 """
 
 import ast
@@ -92,3 +98,76 @@ def test_check_flags_an_unused_import(tmp_path):
     unused, hooks = unused_imports(tmp_path)
     assert unused == [("__init__", "mod"), ("mod", "field")]
     assert hooks == {("mod", "hook")}
+
+
+def defined_names(tree):
+    """Yield the names ``tree`` defines at module level, and the methods of
+    its module-level classes."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield node.name
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield item.name
+        elif isinstance(node, ast.FunctionDef):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id
+
+
+def unread_private_names(package):
+    """Return the sorted ``(module, name)`` pairs of private definitions
+    that no module of ``package`` reads."""
+    defined, read = [], set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name in defined_names(tree):
+            if name.startswith("_") and not name.endswith("__"):
+                defined.append((path.stem, name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(pair for pair in defined if pair[1] not in read)
+
+
+def test_every_private_name_is_read():
+    assert unread_private_names(PACKAGE) == []
+
+
+def test_check_flags_unread_private_code(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "_USED = 1\n"
+        "_DEAD = {2: 'ij'}\n"
+        "_typed: int = 0\n"
+        "\n"
+        "def _helper():\n"
+        "    return _USED\n"
+        "\n"
+        "def _orphan():\n"
+        "    return 0\n"
+        "\n"
+        "class _Box:\n"
+        "    def __init__(self):\n"
+        "        self._size = 0\n"
+        "\n"
+        "    def _grow(self):\n"
+        "        return self._size\n"
+        "\n"
+        "    def _shrink(self):\n"
+        "        self._grow()\n"
+    )
+    (tmp_path / "other.py").write_text(
+        "from .mod import _Box, _helper\n\nVALUE = _helper()\nBOX = _Box()\n"
+    )
+    assert unread_private_names(tmp_path) == [
+        ("mod", "_DEAD"),
+        ("mod", "_orphan"),
+        ("mod", "_shrink"),
+        ("mod", "_typed"),
+    ]
