@@ -13,6 +13,7 @@ from .bounds import (
     BoundReport,
     QRegime,
     bound_report,
+    center,
     classify_q,
     naive_q_bound,
     q_trace_term,
@@ -20,16 +21,15 @@ from .bounds import (
     refined_q_bound,
     robertson_bound,
     sweep_q,
+    variance,
 )
 from .generators import SeededRng, maximally_mixed, random_density, random_hermitian
 from .hermitian import (
     DensityMatrix,
     HermitianMatrix,
-    center,
     density_from_decomposition,
     make_density,
     make_hermitian,
-    variance,
 )
 from .instances import (
     instance_payload,

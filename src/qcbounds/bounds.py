@@ -35,9 +35,9 @@ instance, then loops over the q values for the rest.  Each q there is
 one straight line of float arithmetic with the same bits as those paths,
 which take the rare cases (``_reports`` says which).  ``sweep_q``
 hands ``_reports`` a whole grid; ``bound_report``, ``verify`` and
-``search`` call its one-q case ``_report``.  ``q_trace_term`` forms one
-bracket trace from centred observables, through the same trace routine
-as the kernel.
+``search`` call its one-q case ``_report``.  The kernel's centring and
+trace routines, ``_centred`` and ``_trace3``, serve the public ``center``
+and ``q_trace_term`` too, and ``variance`` is the pass's ``var_a``.
 
 The six traces of the pass do not depend on each other.  When one of
 them covers at least ``_SPLIT_TRIPLES = 2**16`` triple products (m n^3
@@ -61,15 +61,16 @@ import threading
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from .errors import DegenerateCoefficient, DomainError, InvalidSpectrum, NonFinite
-from .hermitian import (
-    DensityMatrix,
-    HermitianMatrix,
-    _centred,
-    _check_same_dim,
-    _Instances,
-    _trace3,
+import numpy as np
+
+from .errors import (
+    DegenerateCoefficient,
+    DimensionMismatch,
+    DomainError,
+    InvalidSpectrum,
+    NonFinite,
 )
+from .hermitian import DensityMatrix, HermitianMatrix, _Instances
 
 # Coefficient denominators below this magnitude are flagged infinite.
 DEGENERATE_DENOMINATOR = 1e-14
@@ -77,6 +78,8 @@ DEGENERATE_DENOMINATOR = 1e-14
 DEGENERATE_TERM = 1e-12
 # Variance products below this floor report no tightness ratio.
 RATIO_FLOOR = 1e-14
+# Relative tolerance of search's master inequality check; verify's default.
+MASTER_RTOL = 1e-9
 # Stacks run through the trace kernel hold at most this many matrix
 # entries, 64 KiB of complex128.  ``verify`` and ``search`` cut their
 # batches to it: 256 instances at n = 4, four at n = 32.
@@ -141,6 +144,17 @@ def classify_q(q: float) -> QRegime:
     if q < 0.0:
         return QRegime.NEGATIVE_GEQ_MINUS_ONE if q >= -1.0 else QRegime.LT_MINUS_ONE
     return QRegime.ZERO
+
+
+def center(state: DensityMatrix, obs: HermitianMatrix) -> HermitianMatrix:
+    """Shift ``obs`` by its expectation so the centred mean vanishes."""
+    _check_same_dim(state, obs)
+    return HermitianMatrix(_centred(state.mat[None], obs.mat[None])[0])
+
+
+def variance(state: DensityMatrix, obs: HermitianMatrix) -> float:
+    """Return Tr[rho A0^2] for the centred observable A0, clamped at zero."""
+    return _traces(state, obs, obs).var_a
 
 
 def q_trace_term(
@@ -428,6 +442,11 @@ def _traces(state: DensityMatrix, a: HermitianMatrix, b: HermitianMatrix) -> _Tr
     return _Traces(state.dim, max(second_a, 0.0), max(second_b, 0.0), *rest)
 
 
+def _check_same_dim(state: DensityMatrix, obs: HermitianMatrix) -> None:
+    if state.dim != obs.dim:
+        raise DimensionMismatch(f"state dim {state.dim} vs observable dim {obs.dim}")
+
+
 def _batch_rows(n: int) -> int:
     # The rows of one stack of n x n instances under _BATCH_ENTRIES, at
     # least one.
@@ -472,6 +491,25 @@ def _trace_kernel(rho, vals, a, b) -> tuple:
         vals[:, 0],
         vals[:, -1],
     )
+
+
+def _trace3(rho: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # Tr[rho X Y] per instance of (m, n, n) stacks.  The subscripts are
+    # spelled out because ``...`` makes every call slower.
+    return np.einsum("nij,njk,nki->n", rho, x, y)
+
+
+def _centred(rho: np.ndarray, obs: np.ndarray) -> np.ndarray:
+    # The one centring routine, over (m, n, n) stacks: each observable
+    # minus its expectation Tr[rho A] on the diagonal.  A real shift of
+    # the diagonal keeps a Hermitian matrix Hermitian, so internal callers
+    # skip re-validation.
+    mean = np.einsum("nij,nji->n", rho, obs).real
+    shifted = obs.copy()
+    m, n = obs.shape[:2]
+    diagonal = shifted.reshape(m, n * n)[:, :: n + 1]
+    diagonal -= mean[:, None]
+    return shifted
 
 
 def _split_traces(rho, pairs) -> list:

@@ -25,6 +25,7 @@ import numpy as np
 
 from .bounds import (
     _MAX_ALLOC_BYTES,
+    MASTER_RTOL,
     BoundReport,
     _report,
     _trace_rows,
@@ -357,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--q-lo", type=float, default=-3.0)
     verify.add_argument("--q-hi", type=float, default=3.0)
     verify.add_argument("--rank-policy", choices=("full", "mixed"), default="mixed")
-    verify.add_argument("--tolerance", type=float, default=1e-9)
+    verify.add_argument("--tolerance", type=float, default=MASTER_RTOL)
     verify.add_argument("--format", choices=("csv", "json"), default="csv")
     verify.add_argument("--out", default=None)
     verify.add_argument(

@@ -4,6 +4,7 @@ All bound computations in this package start from two value types defined
 here: :class:`HermitianMatrix` for observables and :class:`DensityMatrix`
 for states.  Both hold read-only arrays, and the density matrix also
 carries its eigendecomposition, which the bound coefficients need.
+Everything computed from them, variances included, is in ``bounds``.
 
 Validation happens once, at the trust boundary.  The dataclass
 constructors, :func:`make_hermitian`, :func:`make_density` and
@@ -27,10 +28,7 @@ their draws.
 an :class:`_Instances`, which ``bounds._trace_rows`` evaluates.  Every
 step acts row by row, so row ``i`` is bitwise the instance built from
 its inputs alone, and :meth:`_Instances.row` wraps read-only copies of
-it as value types.  The evaluation pass has one layout, the stack:
-:func:`_centred` and :func:`_trace3` take ``(m, n, n)`` arrays only, and
-:func:`center`, :func:`variance` and ``bounds`` run a lone instance as a
-one-row stack.
+it as value types.
 """
 
 from __future__ import annotations
@@ -86,8 +84,8 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def _hermiticity_defect(mat: np.ndarray) -> float:
-    # max |M - M†| relative to max |M|, at every scale; 0 for a zero matrix.
-    scale = float(np.max(np.abs(mat))) if mat.size else 0.0
+    # max |M - M†| relative to max |M| of a nonempty M; 0 for a zero matrix.
+    scale = float(np.max(np.abs(mat)))
     if scale == 0.0:
         return 0.0
     return float(np.max(np.abs(mat - mat.conj().T))) / scale
@@ -290,40 +288,3 @@ def density_from_decomposition(eigenvalues, eigenvectors) -> DensityMatrix:
         raise DimensionMismatch("spectrum and frame shapes disagree")
     return DensityMatrix(_density_arrays(vals, frame)[0], vals, frame)
 
-
-def center(state: DensityMatrix, obs: HermitianMatrix) -> HermitianMatrix:
-    """Shift ``obs`` by its expectation so the centred mean vanishes."""
-    _check_same_dim(state, obs)
-    return HermitianMatrix(_centred(state.mat[None], obs.mat[None])[0])
-
-
-def variance(state: DensityMatrix, obs: HermitianMatrix) -> float:
-    """Return Tr[rho A0^2] for the centred observable A0, clamped at zero."""
-    _check_same_dim(state, obs)
-    rho = state.mat[None]
-    a0 = _centred(rho, obs.mat[None])
-    return max(float(_trace3(rho, a0, a0)[0].real), 0.0)
-
-
-def _trace3(rho: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # Tr[rho X Y] per instance of (m, n, n) stacks.  The subscripts are
-    # spelled out because ``...`` makes every call slower.
-    return np.einsum("nij,njk,nki->n", rho, x, y)
-
-
-def _centred(rho: np.ndarray, obs: np.ndarray) -> np.ndarray:
-    # The one centring routine, over (m, n, n) stacks: each observable
-    # minus its expectation Tr[rho A] on the diagonal.  A real shift of
-    # the diagonal keeps a Hermitian matrix Hermitian, so internal callers
-    # skip re-validation.
-    mean = np.einsum("nij,nji->n", rho, obs).real
-    shifted = obs.copy()
-    m, n = obs.shape[:2]
-    diagonal = shifted.reshape(m, n * n)[:, :: n + 1]
-    diagonal -= mean[:, None]
-    return shifted
-
-
-def _check_same_dim(state: DensityMatrix, obs: HermitianMatrix) -> None:
-    if state.dim != obs.dim:
-        raise DimensionMismatch(f"state dim {state.dim} vs observable dim {obs.dim}")

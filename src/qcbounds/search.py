@@ -26,6 +26,7 @@ import numpy as np
 
 from .bounds import (
     _MAX_ALLOC_BYTES,
+    MASTER_RTOL,
     BoundReport,
     _batch_rows,
     _report,
@@ -54,8 +55,6 @@ from .hermitian import (
 )
 from .instances import instance_payload
 
-# Relative tolerance of the in-search master inequality check.
-MASTER_RTOL = 1e-9
 # A restart stops once its simplex diameter shrinks below this.
 SIMPLEX_DIAMETER_TOL = 1e-8
 # Initial simplex edge length around each random start.

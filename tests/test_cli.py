@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qcbounds as qc
-from qcbounds import cli
+from qcbounds import bounds, cli
 from qcbounds.cli import CSV_COLUMNS, main
 from qcbounds.errors import NonFinite
 from qcbounds.generators import _unitary_frame
@@ -234,6 +234,13 @@ def test_verify_rejects_zero_workers(tmp_path, capsys):
     assert run_cli("verify", "--workers", "0", "--out", out) == 2
     assert "invalid plan: workers must be >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_defaults_of_verify_tolerance_and_search_q():
+    # verify's default tolerance is the one search checks at.
+    parser = cli._build_parser()
+    assert parser.parse_args(["verify"]).tolerance == bounds.MASTER_RTOL
+    assert parser.parse_args(["search"]).q == 1.0
 
 
 def test_verify_json_records(tmp_path):

@@ -12,7 +12,7 @@ error type and message.
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcbounds.bounds import (
@@ -154,6 +154,9 @@ def traces(draw):
 
 
 @given(traces(), st.lists(Q, min_size=1, max_size=6))
+# A finite coefficient (6.25) times a finite square (1e308) whose
+# product overflows: only the finiteness check of refined refuses it.
+@example(_Traces(3, 1.0, 1.0, 1e154 + 0j, 0j, 0j, 0.4, 0.6), [1.0])
 @settings(max_examples=1000, deadline=None, derandomize=True)
 def test_flat_pass_equals_reference(t, qs):
     assert outcome(_reports, t, qs) == outcome(reference_reports, t, qs)

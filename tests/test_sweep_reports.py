@@ -20,7 +20,14 @@ import pytest
 
 import qcbounds as qc
 from qcbounds import cli, search
-from qcbounds.bounds import _modulus, _report, _trace_rows, _traces
+from qcbounds.bounds import (
+    _modulus,
+    _naive_form,
+    _report,
+    _trace_rows,
+    _traces,
+    _weighted,
+)
 from qcbounds.errors import DegenerateCoefficient, NonFinite, QcboundsError
 from qcbounds.generators import _trial_batches
 
@@ -72,6 +79,11 @@ FINITE = {
     "robertson": (
         QUARTER, 1e300 * np.eye(2) + SX, 1e10 * (SY + np.diag([1.0, -1.0])),
         [0.5, 2.0, 1e200],
+    ),
+    # Trace terms of order 1e154: at a moderate |q| > 1 the direct form's
+    # square overflows, so naive_q and refined take the mirrored forms.
+    "moderate-q": (
+        QUARTER, 1e77 * SX, 5e76 * SX + 1e77 * SY, [1.8, 2.0, -2.0],
     ),
 }  # fmt: skip
 SHIFTED_ROBERTSON = 2.5e19
@@ -125,6 +137,39 @@ def test_robertson_is_finite_on_a_large_identity_shift():
             report = qc.bound_report(*instance, q)
             assert report.robertson == SHIFTED_ROBERTSON
             assert (report.var_a, report.var_b) == (1.0, 1.75e20)
+
+
+def test_mirrored_forms_match_high_precision_at_a_moderate_q():
+    # The direct |q| > 1 forms overflow on this instance, so the records
+    # come from the mirrored forms (p = 1/|q|); they must give the direct
+    # forms' values, computed here at 40 digits from the stored matrices.
+    mpmath = pytest.importorskip("mpmath")
+    (state, a, b), grid = edge_instance("moderate-q")
+    t = _traces(state, a, b)
+
+    def exact(m):
+        return mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in m])
+
+    def trace(m):
+        return mpmath.fsum(m[i, i] for i in range(m.rows))
+
+    with mpmath.workdps(40):
+        rho, a0, b0 = exact(state.mat), exact(a.mat), exact(b.mat)
+        a0, b0 = (x - trace(rho * x).real * mpmath.eye(2) for x in (a0, b0))
+        forward, backward = trace(rho * a0 * b0), trace(rho * b0 * a0)
+        low, high = (mpmath.mpf(x) for x in state.eigenvalues)
+        for q in grid:
+            with pytest.raises(NonFinite, match="overflows"):
+                _naive_form(abs(q), t.forward, t.backward)
+            with pytest.raises(NonFinite, match="overflows"):
+                _weighted(t, abs(q), t.backward, t.forward, q)
+            aq = mpmath.mpf(abs(q))
+            naive_q = abs(forward - aq * backward) ** 2 / (1 + aq) ** 2
+            refined = (aq * high + low) ** 2 * abs(backward - aq * forward) ** 2
+            refined /= (1 + aq) ** 2 * (aq * high - low) ** 2
+            report = qc.bound_report(state, a, b, q)
+            assert report.naive_q == pytest.approx(float(naive_q), rel=1e-15, abs=0)
+            assert report.refined == pytest.approx(float(refined), rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("name", sorted(FAILING) + sorted(FINITE))
