@@ -12,14 +12,25 @@ of a chunk and every split ``k < _TRIAL_STREAMS`` in one vectorised
 pass, into one C-contiguous ``(indices, splits, 4)`` array.  A
 ``_DerivedStream`` is built on use from one row of it, only for a stream
 the trial draws from, and builds the generator that
-:meth:`SeededRng.generator` would build, bit for bit.  A trial's q and
-its rank are one scalar draw each, a fixed function of the first 64-bit
-output of their stream.  ``_first_outputs`` computes that output from
-the seed words, for a whole chunk in one vectorised pass of PCG64's
-seeding and XSL-RR output, so those two streams need no Generator of
-their own, except for the rare rank that Lemire's method might reject.
+:meth:`SeededRng.generator` would build, bit for bit.
 
-Instances are drawn the same way on both paths.  The draw order lives in
+A stream's draws come by one of two paths, with the same bits.  A
+Generator draws them in C, but its first use in a process imports
+numpy.random, 9-14 ms and 6 MiB.  The array path needs no Generator:
+``_outputs`` forms a stream's PCG64 outputs from its seed words by LCG
+jump-ahead, and ``_stream_draws`` repeats NumPy's ziggurat on them, with
+the tables of ``_ziggurat``, copied from NumPy's static library.  It
+costs about 90 ns per output against 5 ns in C, so ``verify`` takes it
+only for streams of at most ``_ARRAY_DRAWS`` values (n <= 8) in a run of
+at most one chunk, where the import it saves outweighs its cost.  ``search``
+always takes it for its start points (``_normals``), from seed words
+that ``_stream_words`` hashes for any stream.  A trial's q and its rank
+are one scalar draw each, a fixed function of the first 64-bit output of
+their stream, so those two streams never need a Generator; the rare rank
+that Lemire's method rejects reads the stream's later outputs
+(``_bounded``).
+
+Instances are drawn the same way on every path.  The draw order lives in
 two private helpers that fill caller-given float buffers, ``_draw_state``
 and ``_draw_gaussian``, and the arithmetic on the draws in three array
 functions that act on one row or a stack: ``_spectrum``,
@@ -35,11 +46,12 @@ one-row buffers.
 stack of consecutive trials of one dim at a time, from seed words
 derived ``_CHUNK_TRIALS`` trials per pass.  ``_q_and_ranks`` forms the
 chunk's q values and ranks from first outputs (``_uniform`` and
-``_lemire`` repeat NumPy's arithmetic on them).  ``_draw_trials`` builds
-Generators for each trial's state, A and B streams, fills one row per
-trial of preallocated stacks, then runs the array functions once per
-batch; they act element by element or, for stacked QR, round as one
-matrix at a time, so each trial gets the reference bytes.
+``_lemire`` repeat NumPy's arithmetic on them).  ``_draw_trials`` draws
+each trial's state, A and B streams into one row of a stack, by the
+array path for the whole batch or by a Generator per stream, then runs
+the array functions once per batch; they act element by element or, for
+stacked QR, round as one matrix at a time, so each trial gets the
+reference bytes.
 
 The spectrum is Dirichlet(1, ..., 1) drawn as NumPy's
 ``Generator.dirichlet`` draws it: ``rank`` standard exponentials, each
@@ -51,10 +63,12 @@ stream is left at the same position.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _ziggurat
 from .bounds import _batch_rows
 from .errors import DomainError, InvalidDimension, InvalidRank
 from .hermitian import (
@@ -91,11 +105,34 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
-# PCG64's 128-bit LCG multiplier, as its high and low words.
-_PCG_MULT_HI = np.uint64(0x2360ED051FC65DA4)
-_PCG_MULT_LO = np.uint64(0x4385DF649FCCF645)
-# Generator.uniform maps a 64-bit output x to (x >> 11) * 2**-53 in [0, 1).
+# PCG64's 128-bit LCG multiplier.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = 2**64 - 1
+_MASK128 = 2**128 - 1
+# NumPy's next_double maps a 64-bit output x to (x >> 11) * 2**-53 in [0, 1).
 _DOUBLE_UNIT = 2.0**-53
+
+# In a run of at most _CHUNK_TRIALS trials, verify draws a stream of at
+# most this many values by the array path (``_stream_draws``), otherwise by
+# a Generator.  The draw stage of 64 trials, 192 streams, in process on a
+# 2-core x86 box: at n = 4 (36 values per stream) 0.6 ms by array code
+# against 0.7-1.0 ms by Generators, at n = 8 (136) 2.1-2.6 ms against
+# 0.9 ms, at n = 32 (2080) 34-37 ms against 5.5 ms.  That is about 90 ns
+# per output against 5 ns in C plus 4.5 us to build each Generator.  The
+# array path saves the import of numpy.random, 9-14 ms and 6 MiB once per
+# process: a full chunk of n = 8 trials costs 10-13 ms more by array code,
+# one of n = 9 (171 values) 15 ms or more.
+_ARRAY_DRAWS = 136
+
+# NumPy's ziggurat tables (see ``_ziggurat``) as the array path indexes
+# them.  The low nine bits of a normal's output are its table index and
+# then its sign bit, so they index ``ki`` twice over and the widths
+# followed by their negations.
+_KI2 = np.array(_ziggurat.KI * 2, dtype=np.uint64)
+_WI_SIGNED = np.array(_ziggurat.WI + tuple(-w for w in _ziggurat.WI))
+_KE = np.array(_ziggurat.KE, dtype=np.uint64)
+_WE = np.array(_ziggurat.WE)
+_FI = np.array(_ziggurat.FI)
 
 
 @dataclass(frozen=True)
@@ -182,9 +219,10 @@ def _spawn_words(seed: int, indices: np.ndarray, splits: int) -> np.ndarray:
     array; ``_DerivedStream(words[r, k])`` is the stream of ``indices[r]``
     and split ``k``.  Entry ``[r, k]`` equals ``np.random.SeedSequence(
     entropy=seed, spawn_key=(indices[r], k)).generate_state(4,
-    np.uint64)``: the same hash, run on uint64 arrays under a 32-bit mask.
-    The seed-only part of the pool stays scalar.  Every index must be
-    below 2**32, where it is one entropy word; larger ones raise.
+    np.uint64)``: the hash of ``_seed_words``, run on uint64 arrays under
+    a 32-bit mask.  The seed-only part of the pool stays scalar.  Every
+    index must be below 2**32, where it is one entropy word; larger ones
+    raise.
     """
     seed = SeededRng(seed).seed
     indices = np.asarray(indices, dtype=np.uint64)
@@ -194,6 +232,27 @@ def _spawn_words(seed: int, indices: np.ndarray, splits: int) -> np.ndarray:
     # Assembled entropy: the seed's one or two words, zero-padded to the
     # pool size because a spawn key follows, then the spawn key.
     entropy = [seed & _MASK32, seed >> 32, 0, 0, indices[:, None], k]
+    return np.stack(_seed_words(entropy), axis=-1)
+
+
+def _stream_words(rng: SeededRng) -> list[int]:
+    # The PCG64 seed words of any stream, as Python ints: those of
+    # SeedSequence(entropy=rng.seed, spawn_key=(rng.stream, *rng.path)),
+    # which splits every key into its little-endian 32-bit words, one word
+    # for 0.
+    entropy = [rng.seed & _MASK32, rng.seed >> 32, 0, 0]
+    for key in (rng.stream, *rng.path):
+        entropy.append(key & _MASK32)
+        while key := key >> 32:
+            entropy.append(key & _MASK32)
+    return _seed_words(entropy)
+
+
+def _seed_words(entropy: list) -> list:
+    # NumPy's SeedSequence.generate_state(4, np.uint64) of assembled
+    # entropy of at least _POOL_SIZE words, each a Python int or a uint64
+    # array (they broadcast): mix_entropy, then eight 32-bit words of
+    # output, paired little-endian into four 64-bit ones.
     hashes = _hash_constants(_INIT_A, _MULT_A)
     pool = [_hashmix(word, hashes) for word in entropy[:_POOL_SIZE]]
     for src in range(_POOL_SIZE):
@@ -205,52 +264,147 @@ def _spawn_words(seed: int, indices: np.ndarray, splits: int) -> np.ndarray:
             pool[dst] = _mix(pool[dst], _hashmix(word, hashes))
     hashes = _hash_constants(_INIT_B, _MULT_B)
     state = [_hashmix(pool[i % _POOL_SIZE], hashes) for i in range(8)]
-    # Consecutive 32-bit words pair up little-endian into one uint64.
-    return np.stack([state[i] | state[i + 1] << 32 for i in range(0, 8, 2)], axis=-1)
+    return [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
 
 
-def _first_outputs(words: np.ndarray) -> np.ndarray:
-    """Return the first 64-bit PCG64 output of every stream, from its seed words.
+def _outputs(words: np.ndarray, count: int) -> np.ndarray:
+    """Return the 64-bit PCG64 outputs 0, ..., count - 1 of every stream.
 
-    ``words`` is a uint64 array of at least two axes whose last axis holds
-    the four words ``(w0, w1, w2, w3)`` of one stream, as in a
-    ``_spawn_words`` block; the output has the other axes.  Entry ``r``
-    equals ``_DerivedStream(words[r]).generator().bit_generator
-    .random_raw()``.  It seeds as NumPy's ``pcg64_set_seed`` does: the
-    state ``w0 * 2**64 + w1`` and the increment
-    ``2 * (w2 * 2**64 + w3) + 1``, two seeding steps, then one more step
-    and the XSL-RR output (O'Neill, "PCG: A Family of Simple Fast
-    Space-Efficient Statistically Good Algorithms for Random Number
-    Generation", 2014).  A 128-bit value is a pair of uint64 arrays, high
-    and low, that wrap mod 2**64 without a warning, as NumPy scalars
+    ``words`` is a uint64 array whose last axis holds the four seed words
+    ``(w0, w1, w2, w3)`` of one stream, as in a ``_spawn_words`` block;
+    the result has the other axes, then one of length ``count``.  Entry
+    ``[..., k]`` equals the ``k``-th ``random_raw()`` of
+    ``_DerivedStream(words[...]).generator().bit_generator``.  It seeds as
+    NumPy's ``pcg64_set_seed`` does: the state ``w0 * 2**64 + w1`` and the
+    increment ``inc = 2 * (w2 * 2**64 + w3) + 1``, two seeding steps, and
+    output ``k`` is the XSL-RR output of the state ``k + 1`` steps further
+    (O'Neill, "PCG: A Family of Simple Fast Space-Efficient Statistically
+    Good Algorithms for Random Number Generation", 2014).
+
+    ``j`` LCG steps take a state ``s`` to ``A_j s + C_j inc`` (mod
+    2**128), so no output waits for the one before it.  The outputs are
+    formed in blocks of ``b`` (``_jump_plan``): one jump from the start
+    to the state of each block's first output, then jumps of ``0, ...,
+    b - 1`` steps from those.  A 128-bit value is a pair of uint64 arrays,
+    high and low, that wrap mod 2**64 without a warning, as NumPy scalars
     would not.
     """
-    w0, w1, w2, w3 = (words[..., i] for i in range(4))
-    inc_hi = w2 << 1 | w3 >> 63
-    inc_lo = w3 << 1 | 1
-    # The state is the increment after the first seeding step; adding the
+    flat = words.reshape(-1, 4)
+    block, far, near = _jump_plan(count)
+    w0, w1, w2, w3 = (flat[:, i] for i in range(4))
+    inc = (w2 << 1 | w3 >> 63, w3 << 1 | 1)
+    # The state after the first seeding step is the increment; adding the
     # initial state carries when the low word wraps.
-    lo = inc_lo + w1
-    hi = inc_hi + w0 + (lo < inc_lo)
-    for _ in range(2):
-        product_lo = lo * _PCG_MULT_LO
-        hi = _mul_hi(lo, _PCG_MULT_LO) + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
-        lo = product_lo + inc_lo
-        hi = hi + inc_hi + (lo < inc_lo)
+    lo = inc[1] + w1
+    start = (inc[0] + w0 + (lo < inc[1]), lo)
+    firsts = _add128(_mul128(start, far[0]), _mul128(inc, far[1]))
+    hi, lo = _add128(_mul128(firsts, near[0]), _mul128(inc, near[1]))
     # XSL-RR: the xor of the halves, rotated right by the top six bits.
     value = hi ^ lo
     rot = hi >> 58
-    return value >> rot | value << ((64 - rot) & 63)
+    out = value >> rot | value << ((64 - rot) & 63)
+    # (offset in block, block, stream) to (stream, output).
+    out = out.transpose(2, 1, 0).reshape(len(flat), -1)[:, :count]
+    return out.reshape(*words.shape[:-1], count)
 
 
-def _mul_hi(a: np.ndarray, b: np.uint64) -> np.ndarray:
-    # The high word of the 128-bit product a * b, from 32-bit limbs, so no
-    # partial product overflows 64 bits.
+@functools.cache
+def _jump_plan(count: int) -> tuple:
+    # The block size b of _outputs, about sqrt(count), and the (A_j, C_j)
+    # jumps it makes, each a (high, low) pair of uint64 arrays shaped to
+    # broadcast: to output q b of every block q (j = q b + 2), shape
+    # (blocks, 1); within a block (j = 0, ..., b - 1), shape (b, 1, 1).
+    block = math.isqrt(count - 1) + 1
+    jumps = _jumps(count)
+    far = [jumps[first + 2] for first in range(0, count, block)]
+    near = jumps[:block]
+    return (
+        block,
+        _jump_words(far, (-1, 1)),
+        _jump_words(near, (-1, 1, 1)),
+    )
+
+
+def _jump_words(jumps, shape):
+    # The A's and the C's of ``jumps``, each a (high, low) pair of uint64
+    # arrays of the given shape.
+    return tuple(
+        tuple(
+            np.array(words, dtype=np.uint64).reshape(shape)
+            for words in ([v >> 64 for v in half], [v & _MASK64 for v in half])
+        )
+        for half in zip(*jumps)
+    )
+
+
+@functools.cache
+def _jumps(count: int) -> list[tuple[int, int]]:
+    # (A_j, C_j) for j = 0, ..., count + 2, Python ints: j LCG steps take a
+    # state s to A_j s + C_j inc (mod 2**128).  Output k of a stream is
+    # read from the state j = k + 2 steps after the increment plus the
+    # initial state, so j = count + 2 reaches the first output past count.
+    a, c, pairs = 1, 0, []
+    for _ in range(count + 3):
+        pairs.append((a, c))
+        a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128
+    return pairs
+
+
+def _mul128(x, y):
+    # x * y mod 2**128, each a (high, low) pair of uint64 arrays.
+    (x_hi, x_lo), (y_hi, y_lo) = x, y
+    return _mul_hi(x_lo, y_lo) + x_lo * y_hi + x_hi * y_lo, x_lo * y_lo
+
+
+def _add128(x, y):
+    # x + y mod 2**128, as _mul128; the high word takes the low word's carry.
+    lo = x[1] + y[1]
+    return x[0] + y[0] + (lo < x[1]), lo
+
+
+def _mul_hi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # The high word of the 128-bit product a * b, from 32-bit limbs (Warren,
+    # "Hacker's Delight", mulhu): no partial sum overflows 64 bits.
     a0, a1 = a & _MASK32, a >> 32
     b0, b1 = b & _MASK32, b >> 32
-    cross_a, cross_b = a0 * b1, a1 * b0
-    middle = (a0 * b0 >> 32) + (cross_a & _MASK32) + (cross_b & _MASK32)
-    return a1 * b1 + (cross_a >> 32) + (cross_b >> 32) + (middle >> 32)
+    low = a1 * b0 + (a0 * b0 >> 32)
+    middle = a0 * b1 + (low & _MASK32)
+    return a1 * b1 + (low >> 32) + (middle >> 32)
+
+
+class _Outputs:
+    """The outputs of one PCG64 stream, by position from 0.
+
+    The first ``len(outputs)`` are the given uint64 row, as ``_outputs``
+    formed them; later ones are formed in Python ints when first read,
+    by one jump from the stream's seed words to where the row stopped,
+    then one LCG step per output.
+    """
+
+    __slots__ = ("words", "outputs", "more", "state", "inc")
+
+    def __init__(self, words: np.ndarray, outputs: np.ndarray) -> None:
+        self.words = words
+        self.outputs = outputs
+        self.more: list[int] = []
+
+    def __getitem__(self, position: int) -> int:
+        count = len(self.outputs)
+        if position < count:
+            return int(self.outputs[position])
+        while position >= count + len(self.more):
+            if self.more:
+                self.state = (self.state * _PCG_MULT + self.inc) & _MASK128
+            else:
+                w0, w1, w2, w3 = (int(w) for w in self.words)
+                self.inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+                a, c = _jumps(count)[count + 2]
+                start = (w0 << 64 | w1) + self.inc
+                self.state = (a * start + c * self.inc) & _MASK128
+            value = (self.state >> 64) ^ (self.state & _MASK64)
+            rot = self.state >> 122
+            self.more.append((value >> rot | value << (64 - rot)) & _MASK64)
+        return self.more[position - count]
 
 
 def _hash_constants(value: int, mult: int):
@@ -348,9 +502,11 @@ def _trial_batches(seed, dims, trials_per_dim, q_lo, q_hi, mixed):
     stream and one ``_q_and_ranks`` pass forms every q and rank, without a
     Generator; so a batch of four n = 32 trials pays neither pass's fixed
     cost.  A batch holds at most ``_batch_rows(dim)`` trials and is drawn
-    by ``_draw_trials`` when it is asked for.
+    by ``_draw_trials`` when it is asked for, by array code only in a run
+    of at most one chunk.
     """
     total = len(dims) * trials_per_dim
+    short = total <= _CHUNK_TRIALS
     dim_of = np.array(dims, dtype=np.uint64)
     for start in range(0, total, _CHUNK_TRIALS):
         stop = min(start + _CHUNK_TRIALS, total)
@@ -364,7 +520,8 @@ def _trial_batches(seed, dims, trials_per_dim, q_lo, q_hi, mixed):
             dim = dims[group]
             last = min(stop, (group + 1) * trials_per_dim, first + _batch_rows(dim))
             rows = slice(first - start, last - start)
-            yield first, qs[rows], _draw_trials(words[rows], ranks[rows], dim)
+            stack = _draw_trials(words[rows], ranks[rows], dim, short)
+            yield first, qs[rows], stack
             first = last
 
 
@@ -378,54 +535,283 @@ def _q_and_ranks(words, first, dims, q_lo, q_hi, mixed):
     ``mixed``, an odd trial of dim 2 or more has rank
     ``Generator.integers(1, dim)`` of split 1, and every other trial its
     dim.  Each is one scalar draw, formed from its stream's first output
-    (``_first_outputs``, one pass for all trials) with NumPy's own
-    arithmetic, so the same bits without a Generator.  The rank is
-    Lemire's bounded draw on the low 32 bits (Lemire, "Fast Random Integer
-    Generation in an Interval", ACM TOMACS 2019); only where its rejection
-    test could fire, with probability below dim / 2**32, is the rank
-    stream's Generator built to run NumPy's own loop.
+    (``_outputs``, one pass for all trials) with NumPy's own arithmetic,
+    so the same bits without a Generator.  The rank is Lemire's bounded
+    draw on the low 32 bits (Lemire, "Fast Random Integer Generation in an
+    Interval", ACM TOMACS 2019); only where its rejection test could fire,
+    with probability below dim / 2**32, does ``_bounded`` run NumPy's
+    whole loop on the stream's later 32-bit words.
     """
-    draws = _first_outputs(words[:, :2])
+    draws = _outputs(words[:, :2], 1)
     index = np.arange(first, first + len(words))
     slot = index % BOUNDARY_PERIOD
     pinned = np.take(BOUNDARY_Q, slot, mode="clip")
-    uniform = _uniform(draws[:, 0], q_lo, q_hi)
+    uniform = _uniform(draws[:, 0, 0], q_lo, q_hi)
     qs = np.where(slot < len(BOUNDARY_Q), pinned, uniform).tolist()
     if not mixed:
         return qs, dims.tolist()
     drawn = (index % 2 == 1) & (dims >= 2)
-    below, exact = _lemire(draws[:, 1], dims - np.uint64(1))
+    below, exact = _lemire(draws[:, 1, 0], dims - np.uint64(1))
     ranks = np.where(drawn, 1 + below, dims).tolist()
-    for offset in np.flatnonzero(drawn & ~exact):
-        g = _DerivedStream(words[offset, 1]).generator()
-        ranks[offset] = int(g.integers(1, int(dims[offset])))
+    for offset in np.flatnonzero(drawn & ~exact).tolist():
+        stream = _Outputs(words[offset, 1], draws[offset, 1])
+        ranks[offset] = 1 + _bounded(stream, int(dims[offset]) - 1)
     return qs, ranks
 
 
-def _draw_trials(words, ranks, dim):
+def _draw_trials(words, ranks, dim, short):
     """Return the ``_Instances`` stack of consecutive trials of one dim.
 
     Trial ``offset`` has rank ``ranks[offset]`` and draws its state, A and
     B from the streams whose seed words are ``words[offset, 2:]`` (a
-    ``_spawn_words`` block), one Generator each, exactly as
-    ``random_density`` and ``random_hermitian`` draw from theirs.  The
-    draws go into row ``offset`` of the exponential stack and of the (m,
-    3, 2, dim, dim) Gaussian stack, whose pairs hold the real and the
-    imaginary parts of the frame, of A and of B.  The spectra, the complex
-    matrices and the instances are then formed once for the batch.
+    ``_spawn_words`` block), exactly as ``random_density`` and
+    ``random_hermitian`` draw from theirs.  The draws go into row
+    ``offset`` of the exponential stack and of the (m, 3, 2, dim, dim)
+    Gaussian stack, whose pairs hold the real and the imaginary parts of
+    the frame, of A and of B.  The spectra, the complex matrices and the
+    instances are then formed once for the batch.
+
+    A state stream draws at most ``dim + 2 dim**2`` values.  In a
+    ``short`` run, up to ``_ARRAY_DRAWS`` of them, ``_stream_draws`` draws
+    the whole batch at once, with no Generator; otherwise each stream gets
+    its Generator.
     """
     m = len(words)
-    exps = np.zeros((m, dim))
-    pairs = np.empty((m, 3, 2, dim, dim))
-    for trial, rank, row, (state, a, b) in zip(words, ranks, exps, pairs):
-        _draw_state(_DerivedStream(trial[2]).generator(), rank, row, state)
-        _draw_gaussian(_DerivedStream(trial[3]).generator(), a)
-        _draw_gaussian(_DerivedStream(trial[4]).generator(), b)
+    if short and dim + 2 * dim * dim <= _ARRAY_DRAWS:
+        leading = np.zeros((m, 3), dtype=np.intp)
+        leading[:, 0] = ranks
+        streams = words[:, 2:].reshape(-1, 4)
+        draws = _stream_draws(streams, leading.ravel(), dim, 2 * dim * dim)
+        draws = draws.reshape(m, 3, -1)
+        exps = draws[:, 0, :dim]
+        pairs = draws[:, :, dim:].reshape(m, 3, 2, dim, dim)
+    else:
+        exps = np.zeros((m, dim))
+        pairs = np.empty((m, 3, 2, dim, dim))
+        for trial, rank, row, (state, a, b) in zip(words, ranks, exps, pairs):
+            _draw_state(_DerivedStream(trial[2]).generator(), rank, row, state)
+            _draw_gaussian(_DerivedStream(trial[3]).generator(), a)
+            _draw_gaussian(_DerivedStream(trial[4]).generator(), b)
     raw = _complex_matrix(pairs[:, :, 0], pairs[:, :, 1])
     frame = _unitary_frame(raw[:, 0])
     rho, vals = _density_arrays(_spectrum(exps), frame)
     a, b = _symmetrised(raw[:, 1]), _symmetrised(raw[:, 2])
     return _Instances(rho, vals, frame, a, b)
+
+
+def _normals(rngs: list[SeededRng], count: int) -> np.ndarray:
+    """Return ``count`` standard normals from the start of each stream.
+
+    Row ``r`` equals ``rngs[r].generator().standard_normal(count)`` bit
+    for bit; it is drawn by ``_stream_draws``, with no Generator.
+    """
+    words = np.array([_stream_words(rng) for rng in rngs], dtype=np.uint64)
+    return _stream_draws(words, np.zeros(len(rngs), dtype=np.intp), 0, count)
+
+
+def _stream_draws(words, leading, width, count):
+    """Return the draws of streams that draw exponentials, then normals.
+
+    Row ``s`` holds ``width - leading[s]`` zeros, ``leading[s]`` standard
+    exponentials and ``count`` standard normals, drawn in that order from
+    the stream whose seed words are ``words[s]`` (a ``(streams, 4)``
+    uint64 array), with ``leading[s] <= width``.  They equal what
+    ``standard_exponential`` and then ``standard_normal`` of that stream's
+    Generator would draw, bit for bit, because each draw repeats NumPy's
+    ziggurat (``random_standard_exponential`` and
+    ``random_standard_normal``; Marsaglia and Tsang, "The Ziggurat Method
+    for Generating Random Variables", J. Stat. Softw. 5(8), 2000).
+
+    A ziggurat draw accepts its first try, a function of one output, about
+    99 % of the time, so draw ``d`` of a stream mostly reads output ``d``.
+    The first ``width + count`` outputs of every stream, and a few spare
+    ones, are formed and tried at once; a failed try and what it reads
+    next are settled by ``_exponential_draws`` and ``_normal_draws``.
+    """
+    # Failed tries read about 0.024 outputs more per normal drawn; the
+    # spare outputs leave a stream of 128 normals a 3 % chance of running
+    # past them, where _normal reads on.
+    outputs = _outputs(words, width + count + count // 16 + 4)
+    draws = np.zeros((len(words), width + count))
+    start = _exponential_draws(words, outputs, leading, draws[:, :width])
+    draws[:, width:] = _normal_draws(words, outputs, start, count)
+    return draws
+
+
+def _exponential_draws(words, outputs, leading, dest):
+    # Fills row s of ``dest`` with zeros, then the first leading[s]
+    # standard exponentials of stream s, right-aligned; returns where each
+    # stream's next draw starts.  A stream where a try it reads fails,
+    # about 1 % of them per draw, draws all of its exponentials by
+    # _exponential, NumPy's whole loop.
+    width = dest.shape[1]
+    tries, fails = _exponential_tries(outputs[:, :width])
+    # Column c holds try c - (width - leading); a negative index wraps,
+    # and those columns stay zero.
+    taken = np.arange(width) - (width - leading)[:, None]
+    held = taken >= 0
+    dest[:] = np.where(held, np.take_along_axis(tries, taken, axis=1), 0.0)
+    start = leading.copy()
+    failed = (np.take_along_axis(fails, taken, axis=1) & held).any(axis=1)
+    for s in np.flatnonzero(failed).tolist():
+        stream, at = _Outputs(words[s], outputs[s]), 0
+        for column in range(width - int(leading[s]), width):
+            dest[s, column], at = _exponential(stream, at)
+        start[s] = at
+    return start
+
+
+def _normal_draws(words, outputs, start, count):
+    # The ``count`` standard normals of each stream, the first from output
+    # start[s].  Draw d first tries output d + start[s] plus the outputs
+    # that earlier draws read past their first try.  Those come from the
+    # failed tries, walked in order: a failed try the wedge test accepts
+    # reads one more output, one it rejects reads one and starts the draw
+    # over, and a tail draw, or one whose test would read past the formed
+    # outputs, runs _normal, NumPy's whole loop.  A draw that starts past
+    # the formed outputs runs _normal too.
+    size = outputs.shape[1]
+    tries, fails = _normal_tries(outputs)
+    rows, positions = np.nonzero(fails)
+    verdicts = _wedge_verdicts(outputs, tries, rows, positions)
+    # Draws moved[i], moved[i] + 1, ... of stream moved_rows[i] start
+    # further[i] outputs further on.
+    moved_rows, moved, further = [], [], []
+    redrawn = {}
+    row = -1
+    for s, p, verdict in zip(rows.tolist(), positions.tolist(), verdicts):
+        if s != row:
+            row, at = s, int(start[s])
+            shift = at  # where draw d starts, less d
+        draw = p - shift
+        if p < at or draw >= count:
+            continue  # read as a wedge test's uniform, or past the draws
+        if verdict is None:
+            redrawn[s, draw], at = _normal(_Outputs(words[s], outputs[s]), p)
+            first, step = draw + 1, at - p - 1
+        elif verdict:
+            first, step, at = draw + 1, 1, p + 2
+        else:
+            first, step, at = draw, 2, p + 2
+        moved_rows.append(s)
+        moved.append(first)
+        further.append(step)
+        shift += step
+    moves = np.zeros((len(outputs), count + 1), dtype=np.intp)
+    np.add.at(moves, (moved_rows, moved), further)
+    taken = start[:, None] + np.arange(count) + np.cumsum(moves[:, :count], axis=1)
+    draws = np.take_along_axis(tries, np.minimum(taken, size - 1), axis=1)
+    for (s, draw), value in redrawn.items():
+        draws[s, draw] = value
+    for s in np.flatnonzero(taken[:, -1] >= size).tolist():
+        draw = int(np.argmax(taken[s] >= size))
+        stream, at = _Outputs(words[s], outputs[s]), int(taken[s, draw])
+        for draw in range(draw, count):
+            draws[s, draw], at = _normal(stream, at)
+    return draws
+
+
+def _normal_tries(outputs):
+    # The first try of a standard normal on each output, and whether it
+    # fails: the output's top 52 bits below its low nine (the sign bit and
+    # the table index) times the signed width, accepted below ki[index].
+    index = (outputs & 0x1FF).astype(np.intp)
+    rabs = outputs >> 9 & 0xFFFFFFFFFFFFF
+    return rabs * _WI_SIGNED[index], rabs >= _KI2[index]
+
+
+def _exponential_tries(outputs):
+    # The first try of a standard exponential on each output, and whether
+    # it fails: the top 53 bits times we[index], index in bits 3 to 10,
+    # accepted below ke[index].
+    index = (outputs >> 3 & 0xFF).astype(np.intp)
+    ri = outputs >> 11
+    return ri * _WE[index], ri >= _KE[index]
+
+
+def _wedge_verdicts(outputs, tries, rows, positions):
+    # For each failed normal try at (rows, positions): whether NumPy's wedge
+    # test, which reads the next output as a uniform, accepts it; None for
+    # a try in the tail (index 0) or on the last output formed.  math.exp
+    # calls the same libm function as NumPy's C code.
+    size = outputs.shape[1]
+    index = (outputs[rows, positions] & 0xFF).astype(np.intp)
+    uniform = (outputs[rows, np.minimum(positions + 1, size - 1)] >> 11) * _DOUBLE_UNIT
+    x = tries[rows, positions]
+    low, high = _FI[index], _FI[index - 1]
+    curve = [math.exp(v) for v in (-0.5 * x * x).tolist()]
+    passed = ((high - low) * uniform + low < curve).tolist()
+    tested = ((index > 0) & (positions + 1 < size)).tolist()
+    return [verdict if ok else None for verdict, ok in zip(passed, tested)]
+
+
+def _normal(stream: _Outputs, at: int) -> tuple[float, int]:
+    # NumPy's random_standard_normal from position ``at`` of ``stream``,
+    # step for step; returns the draw and the position after it.  math.exp
+    # and math.log1p call the same libm functions as NumPy's C code.
+    while True:
+        r = stream[at]
+        at += 1
+        index = r & 0xFF
+        r >>= 8
+        rabs = r >> 1 & 0xFFFFFFFFFFFFF
+        x = rabs * _ziggurat.WI[index]
+        if r & 1:
+            x = -x
+        if rabs < _ziggurat.KI[index]:
+            return x, at
+        if index == 0:
+            # The tail past NOR_R, by Marsaglia's method.
+            while True:
+                xx = -_ziggurat.NOR_INV_R * math.log1p(-_double(stream[at]))
+                yy = -math.log1p(-_double(stream[at + 1]))
+                at += 2
+                if yy + yy > xx * xx:
+                    tail = _ziggurat.NOR_R + xx
+                    return (-tail if rabs >> 8 & 1 else tail), at
+        low, high = _ziggurat.FI[index], _ziggurat.FI[index - 1]
+        if (high - low) * _double(stream[at]) + low < math.exp(-0.5 * x * x):
+            return x, at + 1
+        at += 1
+
+
+def _exponential(stream: _Outputs, at: int) -> tuple[float, int]:
+    # NumPy's random_standard_exponential from position ``at`` of
+    # ``stream``, step for step, as _normal.
+    while True:
+        ri = stream[at] >> 3
+        at += 1
+        index = ri & 0xFF
+        ri >>= 8
+        x = ri * _ziggurat.WE[index]
+        if ri < _ziggurat.KE[index]:
+            return x, at
+        if index == 0:
+            return _ziggurat.EXP_R - math.log1p(-_double(stream[at])), at + 1
+        low, high = _ziggurat.FE[index], _ziggurat.FE[index - 1]
+        if (high - low) * _double(stream[at]) + low < math.exp(-x):
+            return x, at + 1
+        at += 1
+
+
+def _double(x: int) -> float:
+    # NumPy's next_double of the output x.
+    return (x >> 11) * _DOUBLE_UNIT
+
+
+def _bounded(stream: _Outputs, span: int) -> int:
+    # Generator.integers(0, span), 1 <= span < 2**32, from the start of
+    # ``stream``: NumPy's Lemire loop, on PCG64's buffered 32-bit words,
+    # the low and then the high word of each output, until the product's
+    # low word reaches 2**32 mod span.
+    threshold = (_MASK32 + 1) % span
+    word = 0
+    while True:
+        output = stream[word >> 1]
+        scaled = (output >> 32 if word & 1 else output & _MASK32) * span
+        if scaled & _MASK32 >= threshold:
+            return scaled >> 32
+        word += 1
 
 
 def _uniform(x: np.ndarray, low: float, high: float) -> np.ndarray:

@@ -7,6 +7,11 @@ test of the master inequality; a violation aborts the search with a
 ``MasterInequalityViolation``, which holds the offending instance only as
 text in its message.
 
+Restart ``r`` starts from ``rng.split(r).generator().standard_normal(d)``
+for its ``d`` coordinates, the same bits drawn by array code for a whole
+wave at once (``generators._normals``), so a search builds no Generator
+and never imports numpy.random.
+
 The restarts run in waves: each wave holds as many restarts as
 ``_LOCKSTEP_FLOATS`` admits, and each step of every restart in it asks
 for its points, which are decoded into one stack of instances
@@ -45,7 +50,7 @@ from .errors import (
     MasterInequalityViolation,
     QcboundsError,
 )
-from .generators import SeededRng
+from .generators import SeededRng, _normals
 from .hermitian import (
     DensityMatrix,
     HermitianMatrix,
@@ -147,12 +152,11 @@ def maximize_tightness(
     best, instance, evals = -np.inf, None, 0
     trajectory: list[tuple[int, float]] = []
     for first in range(0, stop, window):
+        indices = range(first, min(first + window, stop))
+        starts = _normals([rng.split(r) for r in indices], dim_theta)
         wave = [
-            _Restart(
-                rng.split(r).generator().standard_normal(dim_theta),
-                share + (r < extra),
-            )
-            for r in range(first, min(first + window, stop))
+            _Restart(start, share + (r < extra))
+            for r, start in zip(indices, starts)
         ]
         live = wave
         while live:

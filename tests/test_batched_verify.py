@@ -27,6 +27,8 @@ from qcbounds.bounds import (
     _traces,
 )
 from qcbounds.generators import _spawn_words
+from qcbounds.hermitian import _density_arrays as density_arrays
+from qcbounds.hermitian import _symmetrised as symmetrised
 
 # Full batches at n = 16 and n = 64 (and n = 32 with four rows) are
 # large enough for the trace kernel to run half its traces on a second
@@ -110,7 +112,7 @@ def test_batched_rows_equal_reference_path(case):
     qs, ranks = generators._q_and_ranks(
         streams, first, dims, plan.q_lo, plan.q_hi, mixed
     )
-    stack = generators._draw_trials(streams, ranks, dim)
+    stack = generators._draw_trials(streams, ranks, dim, True)
     rho, vals, frame, a, b = stack
     rows = list(_trace_rows(stack))
     reports = [_report(traces, q) for q, traces in zip(qs, rows)]
@@ -141,7 +143,8 @@ def test_batches_stay_in_one_dim_one_chunk_and_under_the_cap(monkeypatch):
     # 600 trials: an n = 1 group, an n = 5 group, and an n = 32 group
     # that the 512-trial chunk edge cuts at trial 512.  The draws are
     # stubbed out; each batch reports its dim, ranks and rows of seed words.
-    def cut(words, ranks, dim):
+    def cut(words, ranks, dim, short):
+        assert short is False
         return dim, ranks, words
 
     monkeypatch.setattr(generators, "_draw_trials", cut)
@@ -170,3 +173,44 @@ def test_batches_stay_in_one_dim_one_chunk_and_under_the_cap(monkeypatch):
     assert sizes[:2] == [(1, 200), (5, 163)]
     assert (5, 37) in sizes
     assert sizes.count((32, 4)) == 50  # 112 trials before the chunk edge, 88 after
+
+
+def generator_loop_trials(words, ranks, dim):
+    # The per-trial Generator loop that _draw_trials keeps past
+    # _ARRAY_DRAWS: one Generator each for the state, A and B of a trial.
+    m = len(words)
+    exps = np.zeros((m, dim))
+    pairs = np.empty((m, 3, 2, dim, dim))
+    for trial, rank, row, (state, a, b) in zip(words, ranks, exps, pairs):
+        generators._draw_state(
+            generators._DerivedStream(trial[2]).generator(), rank, row, state
+        )
+        generators._draw_gaussian(generators._DerivedStream(trial[3]).generator(), a)
+        generators._draw_gaussian(generators._DerivedStream(trial[4]).generator(), b)
+    raw = generators._complex_matrix(pairs[:, :, 0], pairs[:, :, 1])
+    frame = generators._unitary_frame(raw[:, 0])
+    rho, vals = density_arrays(generators._spectrum(exps), frame)
+    return rho, vals, frame, symmetrised(raw[:, 1]), symmetrised(raw[:, 2])
+
+
+@given(
+    st.sampled_from([1, 2, 3, 7, 8, 9, 12]),
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2**32 - 600),
+    st.booleans(),
+)
+@settings(max_examples=30, deadline=None)
+def test_draw_trials_equal_the_generator_loop_on_both_sides_of_the_cutoff(
+    dim, seed, first, short
+):
+    # Dims up to 8 lie on the array side of _ARRAY_DRAWS, 9 and 12 past it.
+    assert 8 + 2 * 8**2 <= generators._ARRAY_DRAWS < 9 + 2 * 9**2
+    size = min(_batch_rows(dim), generators._CHUNK_TRIALS)
+    indices = np.arange(first, first + size, dtype=np.uint64)
+    words = _spawn_words(seed, indices, generators._TRIAL_STREAMS)
+    dims = np.full(size, dim, dtype=np.uint64)
+    _, ranks = generators._q_and_ranks(words, first, dims, -3.0, 3.0, True)
+    stack = generators._draw_trials(words, ranks, dim, short)
+    expected = generator_loop_trials(words, ranks, dim)
+    for got, want in zip(stack, expected):
+        assert got.tobytes() == want.tobytes()

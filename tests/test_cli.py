@@ -970,7 +970,8 @@ def test_verify_csv_golden_digest_across_batch_edges(tmp_path):
 
 
 def test_cli_import_leaves_numpy_random_unloaded():
-    # numpy.random is imported on the first draw, not at start-up.
+    # numpy.random is imported only when a stream draws past
+    # generators._ARRAY_DRAWS values, never at start-up.
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, qcbounds.cli; print('numpy.random' in sys.modules)"],
@@ -978,6 +979,24 @@ def test_cli_import_leaves_numpy_random_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_small_verify_and_search_leave_numpy_random_unloaded(tmp_path):
+    # Small-dimension verify and search draw every stream by array code.
+    script = (
+        "import sys, qcbounds.cli as cli\n"
+        "assert cli.main(['verify', '--dims', '2,3,4,8', '--trials', '32',"
+        " '--rank-policy', 'mixed', '--out', sys.argv[1]]) == 0\n"
+        "assert cli.main(['search', '--n', '4', '--budget', '50',"
+        " '--out', sys.argv[2]]) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    outs = [str(tmp_path / "v.csv"), str(tmp_path / "s.json")]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *outs], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "False"
 
 
 def sweep_golden_instance(tmp_path):

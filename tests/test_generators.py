@@ -12,8 +12,8 @@ from qcbounds.errors import DomainError, InvalidDimension, InvalidRank
 from qcbounds.generators import (
     _DerivedStream,
     _draw_state,
-    _first_outputs,
     _lemire,
+    _outputs,
     _spawn_words,
     _spectrum,
     _uniform,
@@ -289,9 +289,9 @@ def words_for_output(output):
     return seed_words(step_back(step_back(output)))
 
 
-def raw_outputs(words):
+def raw_outputs(words, count):
     return [
-        int(_DerivedStream(row).generator().bit_generator.random_raw())
+        _DerivedStream(row).generator().bit_generator.random_raw(count).tolist()
         for row in words
     ]
 
@@ -310,22 +310,28 @@ def generator_calls(monkeypatch):
     return calls
 
 
-@given(st.lists(st.lists(WORD, min_size=4, max_size=4), min_size=1, max_size=8))
-@example(EDGE_WORDS)
+@given(
+    st.lists(st.lists(WORD, min_size=4, max_size=4), min_size=1, max_size=8),
+    st.integers(1, 40),
+)
+@example(EDGE_WORDS, 1)
 # The low word is 0 before the first, then before the second LCG step: the
 # step's carry test sees a sum equal to the increment.
-@example([seed_words(5 << 64), seed_words(step_back(3 << 64))])
-@example([words_for_output(0xDEADBEEF00000000), words_for_output(0x1234567800000001)])
+@example([seed_words(5 << 64), seed_words(step_back(3 << 64))], 3)
+@example(
+    [words_for_output(0xDEADBEEF00000000), words_for_output(0x1234567800000001)], 2
+)
 @settings(max_examples=150, deadline=None)
-def test_first_outputs_equal_pcg64(rows):
+def test_first_outputs_equal_pcg64(rows, count):
     words = np.array(rows, dtype=np.uint64)
-    outputs = _first_outputs(words)
-    assert outputs.dtype == np.uint64
-    assert outputs.tolist() == raw_outputs(words)
+    stream = _outputs(words, count)
+    assert stream.dtype == np.uint64
+    assert stream.tolist() == raw_outputs(words, count)
+    outputs = stream[:, 0]
     # Strided views of a chunk, as _trial_batches passes them.
     chunk = np.stack([words, words[::-1]], axis=1)
-    assert _first_outputs(chunk).tolist() == [
-        [a, b] for a, b in zip(outputs.tolist(), outputs[::-1].tolist())
+    assert _outputs(chunk, count).tolist() == [
+        [a, b] for a, b in zip(stream.tolist(), stream[::-1].tolist())
     ]
     # Zero, tiny, verify's default and huge spans.
     spans = [(0.5, 0.5), (1.0, 1.0 + 2**-40), (0.0, 5e-324), (-3.0, 3.0)]
@@ -342,7 +348,7 @@ def test_first_outputs_equal_pcg64(rows):
 def test_lemire_equals_integers_for_every_dim_up_to_4096():
     dims = np.arange(2, 4097, dtype=np.uint64)
     words = _spawn_words(17, dims, 2)[:, 1]
-    below, exact = _lemire(_first_outputs(words), dims - 1)
+    below, exact = _lemire(_outputs(words, 1)[:, 0], dims - 1)
     assert exact.all()
     for row, dim, rank in zip(words, dims.tolist(), (1 + below).tolist()):
         assert rank == _DerivedStream(row).generator().integers(1, dim)
@@ -351,35 +357,49 @@ def test_lemire_equals_integers_for_every_dim_up_to_4096():
         _DerivedStream(words[0]).generator().integers(1, 1)
 
 
-def test_rank_falls_back_to_the_generator_only_where_lemire_may_reject(generator_calls):
+def test_rank_redraws_without_a_generator_where_lemire_may_reject(generator_calls):
     # Trial 1 (odd) draws its rank from a stream whose first output has low
     # word 0, so Lemire's rejection test can fire, and at dim 4 NumPy does
-    # draw again (2**32 mod 3 = 1 > 0).  Trial 3's low word is 1: its
-    # product's low word equals the span, so no redraw can happen.
-    words = _spawn_words(8, np.arange(4, dtype=np.uint64), 5)
+    # draw again (2**32 mod 3 = 1 > 0), from the high word.  Trial 3's low
+    # word is 1: its product's low word equals the span, so no redraw can
+    # happen.  Trial 5's first output is 0, so at dim 4 the third word, the
+    # low word of output 1, decides.  Trial 7's low word times 3 leaves
+    # exactly 2**32 mod 3 = 1, which NumPy keeps at dim 4.
+    words = _spawn_words(8, np.arange(8, dtype=np.uint64), 5)
     words[1, 1] = words_for_output(0xDEADBEEF00000000)
     words[3, 1] = words_for_output(0x1234567800000001)
+    words[5, 1] = words_for_output(0)
+    words[7, 1] = words_for_output(0xAAAAAAAB)
     for dim in (2, 3, 4, 8):
+        dims = np.full(8, dim, dtype=np.uint64)
         generator_calls.clear()
-        dims = np.full(4, dim, dtype=np.uint64)
         qs, ranks = generators._q_and_ranks(words, 0, dims, -3.0, 3.0, True)
-        assert generator_calls == [words[1, 1].tolist()]
+        assert generator_calls == []
         expected = [
             int(_DerivedStream(words[i, 1]).generator().integers(1, dim))
-            for i in (1, 3)
+            for i in (1, 3, 5, 7)
         ]
-        assert ranks == [dim, expected[0], dim, expected[1]]
+        assert ranks[0::2] == [dim] * 4
+        assert ranks[1::2] == expected
         assert all(type(rank) is int for rank in ranks)
         assert qs[:3] == [-1.0, 0.0, 1.0] and -3.0 <= qs[3] < 3.0
 
 
-@pytest.mark.parametrize("policy", ["mixed", "full"])
-def test_verify_builds_generators_only_for_state_a_and_b(
-    generator_calls, tmp_path, policy
-):
-    plan = cli.TrialPlan(
-        dims=(1, 2, 3, 8),
-        trials_per_dim=40,
+@pytest.mark.parametrize("span", [3, 2**31 + 1, 3 * 2**30 + 1, 2**32 - 1])
+def test_lemire_retry_equals_integers(span):
+    # Near 2**31 + 1 about half of the 32-bit words are rejected, so the
+    # loop runs through the high and low words of several outputs.
+    words = _spawn_words(23, np.arange(300, dtype=np.uint64), 2)[:, 1]
+    outputs = _outputs(words, 1)
+    for row, first in zip(words, outputs):
+        drawn = generators._bounded(generators._Outputs(row, first), span)
+        assert drawn == _DerivedStream(row).generator().integers(0, span)
+
+
+def verify_plan(policy, trials_per_dim):
+    return cli.TrialPlan(
+        dims=(1, 2, 3, 8, 32),
+        trials_per_dim=trials_per_dim,
         q_lo=-3.0,
         q_hi=3.0,
         rank_policy=policy,
@@ -387,13 +407,49 @@ def test_verify_builds_generators_only_for_state_a_and_b(
         tolerance_rel=1e-9,
         output_format="csv",
     )
-    # The seed is one where no odd trial's rank can need Lemire's redraw.
-    trials = len(plan.dims) * plan.trials_per_dim
-    words = _spawn_words(plan.seed, np.arange(trials, dtype=np.uint64), 2)
-    dims = np.repeat(np.array(plan.dims, dtype=np.uint64), plan.trials_per_dim)
-    assert _lemire(_first_outputs(words[:, 1]), dims - 1)[1][dims >= 2].all()
+
+
+@pytest.mark.parametrize("policy", ["mixed", "full"])
+def test_verify_builds_generators_only_for_state_a_and_b(
+    generator_calls, tmp_path, policy
+):
+    # In a run of one chunk only a dim whose streams draw more than
+    # _ARRAY_DRAWS values builds Generators, one each for the state, A and
+    # B of its trials.
+    plan = verify_plan(policy, 20)
     assert cli.cmd_verify(plan, out=str(tmp_path / "out.csv")) == 0
-    assert len(generator_calls) == 3 * trials
+    drawn = [n for n in plan.dims if n + 2 * n * n > generators._ARRAY_DRAWS]
+    assert drawn == [32]
+    assert len(generator_calls) == 3 * plan.trials_per_dim
+
+
+def test_verify_past_one_chunk_builds_generators_for_every_trial(
+    generator_calls, tmp_path
+):
+    plan = verify_plan("mixed", 103)
+    assert len(plan.dims) * plan.trials_per_dim > generators._CHUNK_TRIALS
+    assert cli.cmd_verify(plan, out=str(tmp_path / "out.csv")) == 0
+    assert len(generator_calls) == 3 * len(plan.dims) * plan.trials_per_dim
+
+
+@pytest.mark.parametrize("dims, built", [((1, 2), 0), ((1, 2, 3), 3 * 513)])
+def test_one_chunk_is_the_longest_run_drawn_by_array_code(
+    generator_calls, tmp_path, dims, built
+):
+    # 2 x 256 trials fill one chunk exactly; 3 x 171 = 513 do not.
+    trials = (generators._CHUNK_TRIALS + len(dims) - 1) // len(dims)
+    plan = cli.TrialPlan(
+        dims=dims,
+        trials_per_dim=trials,
+        q_lo=-3.0,
+        q_hi=3.0,
+        rank_policy="mixed",
+        seed=5,
+        tolerance_rel=1e-9,
+        output_format="csv",
+    )
+    assert cli.cmd_verify(plan, out=str(tmp_path / "out.csv")) == 0
+    assert len(generator_calls) == built
 
 
 @pytest.mark.parametrize("dim", [1, 2, 5, 32, 4730])
@@ -403,3 +459,112 @@ def test_draw_bytes_are_the_float_stacks_of_a_full_batch(dim):
     rows = _batch_rows(dim)
     stacks = (rows * dim, rows * 3 * 2 * dim * dim)
     assert generators._draw_bytes(dim) == sum(8 * size for size in stacks)
+
+
+def generator_draws(words, leading, width, count):
+    # The reference of _stream_draws: each stream's own Generator fills
+    # the right end of ``width`` zeros with ``leading`` exponentials, then
+    # draws ``count`` normals.
+    rows = []
+    for row, lead in zip(words, leading):
+        g = _DerivedStream(row).generator()
+        exps = np.zeros(width)
+        g.standard_exponential(out=exps[width - lead :])
+        rows.append(np.concatenate([exps, g.standard_normal(count)]))
+    return np.array(rows)
+
+
+def test_stream_draws_equal_generator_on_100000_draws_each():
+    # 400 streams of 512 normals after 0 to 64 exponentials, and 400 of
+    # 512 exponentials and one normal: about 2e5 normals and 2e5
+    # exponentials, which reach the wedges and the tails of both.
+    words = _spawn_words(2026, np.arange(100, dtype=np.uint64), 4).reshape(-1, 4)
+    leading = np.arange(len(words)) % 65
+    for width, count, lead in ((64, 512, leading), (512, 1, np.full(400, 512))):
+        rows = words[: len(lead)]
+        drawn = generators._stream_draws(rows, lead, width, count)
+        assert drawn.tobytes() == generator_draws(rows, lead, width, count).tobytes()
+
+
+def ziggurat_edges():
+    # First outputs at the last accepted and the first failing try of every
+    # table index: rabs = ki[i] - 1 and ki[i] for a normal, of either sign;
+    # ri = ke[i] - 1 and ke[i] for an exponential, with the three low bits
+    # it ignores set.  ki[1] is 0: index 1 never accepts a first try.
+    tables = generators._ziggurat
+    normals, exponentials = [], []
+    for index in range(256):
+        for rabs in (tables.KI[index] - 1, tables.KI[index]):
+            for sign in (0, 1) if rabs >= 0 else ():
+                normals.append(rabs << 9 | sign << 8 | index)
+        for ri in (tables.KE[index] - 1, tables.KE[index]):
+            exponentials.append(ri << 11 | index << 3 | 7)
+    return normals, exponentials
+
+
+def test_stream_draws_pin_every_ziggurat_entry():
+    # Two draws from each crafted stream, so the first settles every entry
+    # of ki, wi, ke and we, and the second where the stream went on.
+    normals, exponentials = ziggurat_edges()
+    words = np.array([words_for_output(x) for x in normals], dtype=np.uint64)
+    zeros = np.zeros(len(words), dtype=np.intp)
+    drawn = generators._stream_draws(words, zeros, 0, 2)
+    assert drawn.tobytes() == generator_draws(words, zeros, 0, 2).tobytes()
+    words = np.array([words_for_output(x) for x in exponentials], dtype=np.uint64)
+    twos = np.full(len(words), 2, dtype=np.intp)
+    drawn = generators._stream_draws(words, twos, 2, 1)
+    assert drawn.tobytes() == generator_draws(words, twos, 2, 1).tobytes()
+
+
+def test_normal_draws_settle_a_failed_try_on_the_last_formed_output():
+    # Every crafted first try fails midway between ki[i] and 2**52, in the
+    # wedge, and is the only output formed, so its wedge test would read
+    # past the formed outputs: _normal settles it.
+    failing = [
+        (ki + 2**52) // 2 << 9 | index
+        for index, ki in enumerate(generators._ziggurat.KI)
+        if index
+    ]
+    words = np.array([words_for_output(x) for x in failing], dtype=np.uint64)
+    zeros = np.zeros(len(words), dtype=np.intp)
+    drawn = generators._normal_draws(words, _outputs(words, 1), zeros, 2)
+    assert drawn.tobytes() == generator_draws(words, zeros, 0, 2).tobytes()
+
+
+def test_normal_draws_read_on_past_the_formed_outputs():
+    # With only two outputs formed per stream, almost every draw starts
+    # past them: _Outputs forms the rest by a jump, then one LCG step each.
+    words = _spawn_words(77, np.arange(40, dtype=np.uint64), 3).reshape(-1, 4)
+    outputs = _outputs(words, 2)
+    start = np.zeros(len(words), dtype=np.intp)
+    drawn = generators._normal_draws(words, outputs, start, 60)
+    zeros = np.zeros(len(words), dtype=np.intp)
+    assert drawn.tobytes() == generator_draws(words, zeros, 0, 60).tobytes()
+    stream = generators._Outputs(words[0], outputs[0])
+    assert [stream[k] for k in (5, 2, 70)] == [
+        raw_outputs(words[:1], 71)[0][k] for k in (5, 2, 70)
+    ]
+
+
+KEYS = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 5]),
+    st.integers(0, 2**80),
+)
+
+
+@given(SEEDS, st.integers(0, 2**64 - 1), st.lists(KEYS, max_size=4))
+@example(0, 0, [])
+@example(2**64 - 1, 2**32, [2**32, 0, 2**64])
+@settings(max_examples=150, deadline=None)
+def test_stream_words_equal_seed_sequence(seed, stream, path):
+    rng = qc.SeededRng(seed, stream, tuple(path))
+    key = np.random.SeedSequence(entropy=seed, spawn_key=(stream, *path))
+    assert generators._stream_words(rng) == key.generate_state(4, np.uint64).tolist()
+
+
+def test_normals_equal_each_generator():
+    root = qc.SeededRng(2**64 - 1, 2**40, (7, 2**33))
+    rngs = [root.split(r) for r in (0, 1, 2**32, 2**70)]
+    drawn = generators._normals(rngs, 61)
+    expected = [rng.generator().standard_normal(61) for rng in rngs]
+    assert drawn.tobytes() == np.array(expected).tobytes()
