@@ -20,24 +20,25 @@ every bound on one instance; it is the record the CLI streams out.
 Values past the float range raise ``NonFinite``, never a bare
 ``OverflowError``.  Tests check the proof steps behind the bound.
 
-The pass is one kernel, ``_trace_kernel``, over a stack of instances.
-``_traces`` runs it on one instance as a one-row stack; ``verify`` and
-``search`` run it once per stack of instances (``hermitian._Instances``)
-through ``_trace_rows`` and judge the master inequality with
-``_violated``.  Both hand the kernel's columns on as Python numbers, so
-everything after the kernel is Python float and complex arithmetic: the
-same bits as on NumPy scalars, at about a quarter of the cost per
-bracket.  Each field has one per-q path on top of the pass:
-``_robertson``, ``_naive`` and ``_refined``, which the one-bound public
-functions call.  One scalar layer, ``_reports``, evaluates and checks
-the fields that read no q (``product`` and ``robertson``) once per
-instance, then loops over the q values for the rest.  Each q there is
-one straight line of float arithmetic with the same bits as those paths,
-which take the rare cases (``_reports`` says which).  ``sweep_q``
-hands ``_reports`` a whole grid; ``bound_report``, ``verify`` and
-``search`` call its one-q case ``_report``.  The kernel's centring and
-trace routines, ``_centred`` and ``_trace3``, serve the public ``center``
-and ``q_trace_term`` too, and ``variance`` is the pass's ``var_a``.
+The pass is one kernel, ``_trace_kernel``, over a stack of instances
+(``hermitian._Instances``), read by one reader, ``_trace_rows``.
+``verify`` and ``search`` run it once per stack and judge the master
+inequality with ``_violated``; ``_traces`` runs a lone instance as a
+one-row stack, with ``DensityMatrix.eigenvectors`` as its frame.  The
+reader hands the kernel's columns on as Python numbers, so everything
+after the kernel is Python float and complex arithmetic: the same bits
+as on NumPy scalars, at about a quarter of the cost per bracket.  Each
+field has one per-q path on top of the pass: ``_robertson``, ``_naive``
+and ``_refined``, which the one-bound public functions call.  One scalar
+layer, ``_reports``, evaluates and checks the fields that read no q
+(``product`` and ``robertson``) once per instance, then loops over the q
+values for the rest.  Each q there is one straight line of float
+arithmetic with the same bits as those paths, which take the rare cases
+(``_reports`` says which).  ``sweep_q`` hands ``_reports`` a whole grid;
+``bound_report``, ``verify`` and ``search`` call its one-q case
+``_report``.  The kernel's centring and trace routines, ``_centred`` and
+``_trace3``, serve the public ``center`` and ``q_trace_term`` too, and
+``variance`` is the pass's ``var_a``.
 
 The six traces of the pass do not depend on each other.  When one of
 them covers at least ``_SPLIT_TRIPLES = 2**16`` triple products (m n^3
@@ -335,11 +336,11 @@ class _Traces(NamedTuple):
     dim: int
     var_a: float  # Tr[rho A0^2], clamped at zero
     var_b: float  # Tr[rho B0^2], clamped at zero
-    # Python numbers, read off the kernel's columns by ``_traces`` and
-    # ``_trace_rows``, so every per-q bracket F - |q| B is plain Python
-    # arithmetic.  It rounds exactly as q_trace_term's NumPy scalars do:
-    # both multiply a float by a complex as (x + 0j) * z, re re - im im and
-    # re im + im re, without FMA, then subtract part by part.
+    # Python numbers, read off the kernel's columns by ``_trace_rows``, so
+    # every per-q bracket F - |q| B is plain Python arithmetic.  It rounds
+    # exactly as q_trace_term's NumPy scalars do: both multiply a float by
+    # a complex as (x + 0j) * z, re re - im im and re im + im re, without
+    # FMA, then subtract part by part.
     forward: complex  # Tr[rho A0 B0] of the centred observables
     backward: complex  # Tr[rho B0 A0]
     commutator: complex  # Tr[rho [A,B]] of the raw observables
@@ -435,11 +436,8 @@ def _traces(state: DensityMatrix, a: HermitianMatrix, b: HermitianMatrix) -> _Tr
     # The pass over one instance, run as a one-row stack.
     _check_same_dim(state, a)
     _check_same_dim(state, b)
-    columns = _trace_kernel(
-        state.mat[None], state.eigenvalues[None], a.mat[None], b.mat[None]
-    )
-    second_a, second_b, *rest = [column.item() for column in columns]
-    return _Traces(state.dim, max(second_a, 0.0), max(second_b, 0.0), *rest)
+    instance = (state.mat, state.eigenvalues, state.eigenvectors, a.mat, b.mat)
+    return next(_trace_rows(_Instances(*[arr[None] for arr in instance])))
 
 
 def _check_same_dim(state: DensityMatrix, obs: HermitianMatrix) -> None:
@@ -456,9 +454,10 @@ def _batch_rows(n: int) -> int:
 def _trace_rows(stack: _Instances) -> Iterator[_Traces]:
     """Yield the ``_Traces`` of each instance of ``stack``, in order.
 
-    Row ``i`` equals ``_traces`` of ``stack.row(i)`` bit for bit, in value
-    and in type.  Each kernel column becomes Python numbers in one
-    ``tolist`` call, cheaper than a NumPy scalar per entry.
+    The one reader of the kernel's columns: each becomes Python numbers in
+    one ``tolist`` call, cheaper than a NumPy scalar per entry, and the
+    variances are clamped at zero here.  Row ``i`` equals the row of
+    ``stack.row(i)`` run alone bit for bit, in value and in type.
     """
     dim = stack.rho.shape[-1]
     columns = _trace_kernel(stack.rho, stack.vals, stack.a, stack.b)

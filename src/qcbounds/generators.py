@@ -30,28 +30,30 @@ their stream, so those two streams never need a Generator; the rare rank
 that Lemire's method rejects reads the stream's later outputs
 (``_bounded``).
 
-Instances are drawn the same way on every path.  The draw order lives in
-two private helpers that fill caller-given float buffers, ``_draw_state``
-and ``_draw_gaussian``, and the arithmetic on the draws in three array
-functions that act on one row or a stack: ``_spectrum``,
-``_complex_matrix`` and the QR phase fix ``_unitary_frame``.  A Gaussian
-matrix is drawn into one contiguous ``(2, n, n)`` pair, real parts then
-imaginary parts, by one ``standard_normal`` fill, which reads the stream
-as two fills of ``(n, n)`` would.  :func:`random_density` and
-:func:`random_hermitian` are the reference path: they run the helpers on
-one-row buffers.
+Instances are drawn the same way on every path.  Every stream draws one
+row: ``width`` columns, zeros and then its leading standard exponentials,
+then its standard normals.  A state stream of dim n leads with ``rank``
+exponentials in n columns, an observable's with none; the normals are
+the real and then the imaginary parts of an n x n Gaussian matrix.  A
+Generator fills a row by ``standard_exponential`` into its last ``rank``
+columns and one ``standard_normal`` into the rest; ``_stream_draws``
+fills many rows at once by array code, with the same bits.  Three array
+functions act on the draws of one row or a stack: ``_spectrum``,
+``_complex_matrix`` and the QR phase fix ``_unitary_frame``.
+:func:`random_density` and :func:`random_hermitian` are the reference
+path: they call their Generator directly.
 
 ``verify``'s trial ensemble lives here too, with its stream layout
 (``_TRIAL_STREAMS``).  ``_trial_batches`` yields it in index order, one
 stack of consecutive trials of one dim at a time, from seed words
 derived ``_CHUNK_TRIALS`` trials per pass.  ``_q_and_ranks`` forms the
 chunk's q values and ranks from first outputs (``_uniform`` and
-``_lemire`` repeat NumPy's arithmetic on them).  ``_draw_trials`` draws
-each trial's state, A and B streams into one row of a stack, by the
-array path for the whole batch or by a Generator per stream, then runs
-the array functions once per batch; they act element by element or, for
-stacked QR, round as one matrix at a time, so each trial gets the
-reference bytes.
+``_lemire`` repeat NumPy's arithmetic on them).  ``_draw_trials`` fills
+one row per state, A and B stream of the batch, by the array path for
+the whole batch or by a Generator per stream, then runs the array
+functions once per batch; they act element by element or, for stacked
+QR, round as one matrix at a time, so each trial gets the reference
+bytes.
 
 The spectrum is Dirichlet(1, ..., 1) drawn as NumPy's
 ``Generator.dirichlet`` draws it: ``rank`` standard exponentials, each
@@ -191,8 +193,6 @@ class _DerivedStream:
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
         # PCG64 asks for (4, np.uint64) and reads the four words through a
         # raw pointer, so ``words`` must be one contiguous uint64 row.
-        if dtype is np.uint64 and n_words == 4:
-            return self.words
         if n_words != 4 or np.dtype(dtype) != np.uint64:
             raise DomainError("a derived stream holds exactly four uint64 words")
         return self.words
@@ -431,9 +431,8 @@ def random_hermitian(n: int, rng: SeededRng) -> HermitianMatrix:
     """Return (M + M†)/2 for M with standard-normal real and imaginary parts."""
     if n < 1:
         raise InvalidDimension(f"n must be >= 1, got {n}")
-    pair = np.empty((2, n, n))
-    _draw_gaussian(rng.generator(), pair)
-    return _hermitian_value(_symmetrised(_complex_matrix(pair[0], pair[1])))
+    re, im = rng.generator().standard_normal((2, n, n))
+    return _hermitian_value(_symmetrised(_complex_matrix(re, im)))
 
 
 def random_density(n: int, rank: int, rng: SeededRng) -> DensityMatrix:
@@ -460,10 +459,11 @@ def random_density(n: int, rank: int, rng: SeededRng) -> DensityMatrix:
         raise InvalidDimension(f"n must be >= 1, got {n}")
     if not 1 <= rank <= n:
         raise InvalidRank(f"rank must be in [1, {n}], got {rank}")
+    g = rng.generator()
     exps = np.zeros(n)
-    pair = np.empty((2, n, n))
-    _draw_state(rng.generator(), rank, exps, pair)
-    frame = _unitary_frame(_complex_matrix(pair[0], pair[1]))
+    g.standard_exponential(out=exps[n - rank :])
+    re, im = g.standard_normal((2, n, n))
+    frame = _unitary_frame(_complex_matrix(re, im))
     return _density_value(*_density_arrays(_spectrum(exps), frame), frame)
 
 
@@ -473,23 +473,6 @@ def maximally_mixed(n: int) -> DensityMatrix:
         raise InvalidDimension(f"n must be >= 1, got {n}")
     spectrum = np.full(n, 1.0 / n)
     return density_from_decomposition(spectrum, np.eye(n, dtype=complex))
-
-
-def _draw_gaussian(g: np.random.Generator, pair: np.ndarray) -> None:
-    # The one draw of random_hermitian, and the frame draw of random_density:
-    # the real parts, then the imaginary parts, of an n x n Gaussian matrix,
-    # into the contiguous (2, n, n) buffer ``pair`` in one fill.
-    g.standard_normal(out=pair)
-
-
-def _draw_state(
-    g: np.random.Generator, rank: int, exps: np.ndarray, pair: np.ndarray
-) -> None:
-    # The draws of random_density, in order: ``rank`` standard exponentials
-    # into the tail of the zeroed row ``exps``, then the Gaussian matrix
-    # whose QR gives the frame, into ``pair``.
-    g.standard_exponential(out=exps[exps.shape[-1] - rank :])
-    _draw_gaussian(g, pair)
 
 
 def _trial_batches(seed, dims, trials_per_dim, q_lo, q_hi, mixed):
@@ -565,36 +548,34 @@ def _draw_trials(words, ranks, dim, short):
     Trial ``offset`` has rank ``ranks[offset]`` and draws its state, A and
     B from the streams whose seed words are ``words[offset, 2:]`` (a
     ``_spawn_words`` block), exactly as ``random_density`` and
-    ``random_hermitian`` draw from theirs.  The draws go into row
-    ``offset`` of the exponential stack and of the (m, 3, 2, dim, dim)
-    Gaussian stack, whose pairs hold the real and the imaginary parts of
-    the frame, of A and of B.  The spectra, the complex matrices and the
-    instances are then formed once for the batch.
+    ``random_hermitian`` draw from theirs.  Each stream fills one row of
+    ``dim + 2 dim**2`` draws in the layout of ``_stream_draws``; only the
+    state's row leads with exponentials, ``rank`` of them.  The spectra,
+    the complex matrices and the instances are then formed once for the
+    batch.
 
-    A state stream draws at most ``dim + 2 dim**2`` values.  In a
-    ``short`` run, up to ``_ARRAY_DRAWS`` of them, ``_stream_draws`` draws
-    the whole batch at once, with no Generator; otherwise each stream gets
-    its Generator.
+    In a ``short`` run whose rows hold up to ``_ARRAY_DRAWS`` values,
+    ``_stream_draws`` fills every row at once, with no Generator;
+    otherwise each stream's Generator fills its own row.
     """
     m = len(words)
-    if short and dim + 2 * dim * dim <= _ARRAY_DRAWS:
-        leading = np.zeros((m, 3), dtype=np.intp)
-        leading[:, 0] = ranks
-        streams = words[:, 2:].reshape(-1, 4)
-        draws = _stream_draws(streams, leading.ravel(), dim, 2 * dim * dim)
-        draws = draws.reshape(m, 3, -1)
-        exps = draws[:, 0, :dim]
-        pairs = draws[:, :, dim:].reshape(m, 3, 2, dim, dim)
+    count = 2 * dim * dim
+    streams = words[:, 2:].reshape(-1, 4)
+    leading = np.zeros(3 * m, dtype=np.intp)
+    leading[::3] = ranks
+    if short and dim + count <= _ARRAY_DRAWS:
+        draws = _stream_draws(streams, leading, dim, count)
     else:
-        exps = np.zeros((m, dim))
-        pairs = np.empty((m, 3, 2, dim, dim))
-        for trial, rank, row, (state, a, b) in zip(words, ranks, exps, pairs):
-            _draw_state(_DerivedStream(trial[2]).generator(), rank, row, state)
-            _draw_gaussian(_DerivedStream(trial[3]).generator(), a)
-            _draw_gaussian(_DerivedStream(trial[4]).generator(), b)
+        draws = np.zeros((3 * m, dim + count))
+        for row, stream, lead in zip(draws, streams, leading.tolist()):
+            g = _DerivedStream(stream).generator()
+            g.standard_exponential(out=row[dim - lead : dim])
+            g.standard_normal(out=row[dim:])
+    draws = draws.reshape(m, 3, -1)
+    pairs = draws[:, :, dim:].reshape(m, 3, 2, dim, dim)
     raw = _complex_matrix(pairs[:, :, 0], pairs[:, :, 1])
     frame = _unitary_frame(raw[:, 0])
-    rho, vals = _density_arrays(_spectrum(exps), frame)
+    rho, vals = _density_arrays(_spectrum(draws[:, 0, :dim]), frame)
     a, b = _symmetrised(raw[:, 1]), _symmetrised(raw[:, 2])
     return _Instances(rho, vals, frame, a, b)
 
@@ -831,10 +812,11 @@ def _lemire(x: np.ndarray, span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _draw_bytes(dim: int) -> int:
-    # The bytes of the float stacks _draw_trials fills for one batch of
-    # ``dim``: (m, dim) exponentials and (m, 3, 2, dim, dim) Gaussian pairs.
-    # Exact for any int dim, so a dim past the float range is sized too.
-    return 8 * _batch_rows(dim) * (6 * dim**2 + dim)
+    # The bytes of the float stack _draw_trials fills for one batch of
+    # ``dim``: three rows of dim + 2 dim**2 draws per trial, its state's, A's
+    # and B's.  Exact for any int dim, so a dim past the float range is
+    # sized too.
+    return 8 * _batch_rows(dim) * 3 * (dim + 2 * dim**2)
 
 
 def _spectrum(exps: np.ndarray) -> np.ndarray:

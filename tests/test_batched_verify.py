@@ -182,11 +182,11 @@ def generator_loop_trials(words, ranks, dim):
     exps = np.zeros((m, dim))
     pairs = np.empty((m, 3, 2, dim, dim))
     for trial, rank, row, (state, a, b) in zip(words, ranks, exps, pairs):
-        generators._draw_state(
-            generators._DerivedStream(trial[2]).generator(), rank, row, state
-        )
-        generators._draw_gaussian(generators._DerivedStream(trial[3]).generator(), a)
-        generators._draw_gaussian(generators._DerivedStream(trial[4]).generator(), b)
+        g = generators._DerivedStream(trial[2]).generator()
+        g.standard_exponential(out=row[dim - rank :])
+        g.standard_normal(out=state)
+        generators._DerivedStream(trial[3]).generator().standard_normal(out=a)
+        generators._DerivedStream(trial[4]).generator().standard_normal(out=b)
     raw = generators._complex_matrix(pairs[:, :, 0], pairs[:, :, 1])
     frame = generators._unitary_frame(raw[:, 0])
     rho, vals = density_arrays(generators._spectrum(exps), frame)

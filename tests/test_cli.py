@@ -169,12 +169,12 @@ def test_verify_names_every_plan_problem_on_one_line(tmp_path, capsys):
 
 def test_verify_plan_refuses_draw_stacks_past_the_memory_ceiling():
     # One batch of the largest dim holds at least one trial of
-    # 6 * dim**2 + dim floats.
+    # 6 * dim**2 + 3 * dim floats.
     def plan(*dims):
         return cli.TrialPlan(dims, 1, -3.0, 3.0, "mixed", 0, 1e-9, "csv")
 
     limit = 4729  # the largest dim whose one-trial stacks fit in 1 GiB
-    assert 8 * (6 * limit**2 + limit) <= cli._MAX_ALLOC_BYTES == 2**30
+    assert 8 * (6 * limit**2 + 3 * limit) <= cli._MAX_ALLOC_BYTES == 2**30
     assert plan(2, 32, limit).problems() == []
     (problem,) = plan(2, limit + 1, 3).problems()
     assert problem == "dim 4730 needs more than the 1 GiB limit for one batch of draws"

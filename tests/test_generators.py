@@ -11,7 +11,6 @@ from qcbounds.bounds import _batch_rows
 from qcbounds.errors import DomainError, InvalidDimension, InvalidRank
 from qcbounds.generators import (
     _DerivedStream,
-    _draw_state,
     _lemire,
     _outputs,
     _spawn_words,
@@ -242,10 +241,10 @@ def test_spectrum_equals_padded_sorted_dirichlet(seed, case):
     # NumPy 2.4.6, as the golden digests in test_cli.py.
     rank, n = case
     stream = qc.SeededRng(seed, 2)
+    g = stream.generator()
     exps = np.zeros(n)
-    pair = np.empty((2, n, n))
-    _draw_state(stream.generator(), rank, exps, pair)
-    re, im = pair
+    g.standard_exponential(out=exps[n - rank :])
+    re, im = g.standard_normal((2, n, n))
     # The draw fills the tail of the row, where the padded spectrum has it.
     assert not exps[: n - rank].any()
 
@@ -454,11 +453,11 @@ def test_one_chunk_is_the_longest_run_drawn_by_array_code(
 
 @pytest.mark.parametrize("dim", [1, 2, 5, 32, 4730])
 def test_draw_bytes_are_the_float_stacks_of_a_full_batch(dim):
-    # _draw_trials fills an (m, dim) exponential stack and an
-    # (m, 3, 2, dim, dim) Gaussian stack for a batch of m trials.
+    # _draw_trials fills one stack for a batch of m trials: a row of dim
+    # exponential columns and 2 dim**2 normals for each of the state, A
+    # and B of each trial.
     rows = _batch_rows(dim)
-    stacks = (rows * dim, rows * 3 * 2 * dim * dim)
-    assert generators._draw_bytes(dim) == sum(8 * size for size in stacks)
+    assert generators._draw_bytes(dim) == 8 * rows * 3 * (dim + 2 * dim * dim)
 
 
 def generator_draws(words, leading, width, count):
