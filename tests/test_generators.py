@@ -213,7 +213,8 @@ def test_spawn_words_reject_wide_indices():
 def test_derived_stream_serves_only_pcg64_seeding():
     words = _spawn_words(3, np.array([7], dtype=np.uint64), 1)[0, 0]
     stream = _DerivedStream(words)
-    # PCG64's own request takes the identity test; an equal dtype the check.
+    # PCG64's own request, and the same dtype given as a dtype object, pass
+    # the one check and get the words themselves.
     assert stream.generate_state(4, np.uint64) is words
     assert stream.generate_state(4, np.dtype("uint64")) is words
     with pytest.raises(DomainError):
@@ -451,13 +452,25 @@ def test_one_chunk_is_the_longest_run_drawn_by_array_code(
     assert len(generator_calls) == built
 
 
-@pytest.mark.parametrize("dim", [1, 2, 5, 32, 4730])
-def test_draw_bytes_are_the_float_stacks_of_a_full_batch(dim):
-    # _draw_trials fills one stack for a batch of m trials: a row of dim
-    # exponential columns and 2 dim**2 normals for each of the state, A
-    # and B of each trial.
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7, 8, 32])
+def test_draw_bytes_are_the_float_stacks_of_a_full_batch(monkeypatch, dim):
+    # _draw_bytes must size the one stack that _draw_trials draws a full
+    # batch into, measured as the stack _stream_draws returns.  At dim 32
+    # the Generator branch fills a stack of the same layout; the array
+    # branch is let in to measure it.
+    stacks = []
+    original = generators._stream_draws
+
+    def measured(*args):
+        stacks.append(original(*args))
+        return stacks[-1]
+
+    monkeypatch.setattr(generators, "_stream_draws", measured)
+    monkeypatch.setattr(generators, "_ARRAY_DRAWS", dim + 2 * dim * dim)
     rows = _batch_rows(dim)
-    assert generators._draw_bytes(dim) == 8 * rows * 3 * (dim + 2 * dim * dim)
+    words = _spawn_words(9, np.arange(rows, dtype=np.uint64), 5)
+    generators._draw_trials(words, np.full(rows, dim), dim, True)
+    assert [stack.nbytes for stack in stacks] == [generators._draw_bytes(dim)]
 
 
 def generator_draws(words, leading, width, count):
@@ -473,16 +486,20 @@ def generator_draws(words, leading, width, count):
     return np.array(rows)
 
 
-def test_stream_draws_equal_generator_on_100000_draws_each():
+def seeded_draws():
     # 400 streams of 512 normals after 0 to 64 exponentials, and 400 of
     # 512 exponentials and one normal: about 2e5 normals and 2e5
     # exponentials, which reach the wedges and the tails of both.
     words = _spawn_words(2026, np.arange(100, dtype=np.uint64), 4).reshape(-1, 4)
     leading = np.arange(len(words)) % 65
     for width, count, lead in ((64, 512, leading), (512, 1, np.full(400, 512))):
-        rows = words[: len(lead)]
-        drawn = generators._stream_draws(rows, lead, width, count)
-        assert drawn.tobytes() == generator_draws(rows, lead, width, count).tobytes()
+        yield words[: len(lead)], lead, width, count
+
+
+def test_stream_draws_equal_generator_on_100000_draws_each():
+    for args in seeded_draws():
+        drawn = generators._stream_draws(*args)
+        assert drawn.tobytes() == generator_draws(*args).tobytes()
 
 
 def ziggurat_edges():
@@ -501,18 +518,32 @@ def ziggurat_edges():
     return normals, exponentials
 
 
-def test_stream_draws_pin_every_ziggurat_entry():
+def edge_draws():
     # Two draws from each crafted stream, so the first settles every entry
     # of ki, wi, ke and we, and the second where the stream went on.
     normals, exponentials = ziggurat_edges()
     words = np.array([words_for_output(x) for x in normals], dtype=np.uint64)
-    zeros = np.zeros(len(words), dtype=np.intp)
-    drawn = generators._stream_draws(words, zeros, 0, 2)
-    assert drawn.tobytes() == generator_draws(words, zeros, 0, 2).tobytes()
+    yield words, np.zeros(len(words), dtype=np.intp), 0, 2
     words = np.array([words_for_output(x) for x in exponentials], dtype=np.uint64)
-    twos = np.full(len(words), 2, dtype=np.intp)
-    drawn = generators._stream_draws(words, twos, 2, 1)
-    assert drawn.tobytes() == generator_draws(words, twos, 2, 1).tobytes()
+    yield words, np.full(len(words), 2, dtype=np.intp), 2, 1
+
+
+def test_stream_draws_pin_every_ziggurat_entry():
+    for args in edge_draws():
+        drawn = generators._stream_draws(*args)
+        assert drawn.tobytes() == generator_draws(*args).tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 2**40], ids=["stream", "batch"])
+def test_stream_draws_keep_their_bits_at_any_block_size(monkeypatch, block):
+    # One stream per block, then every stream in one block: each block must
+    # form and try its own streams' outputs, from their own leads, into
+    # their own rows, through the exponential redraw, both wedge verdicts,
+    # the tails and reads past the formed outputs.
+    monkeypatch.setattr(generators, "_BLOCK_OUTPUTS", block)
+    for args in itertools.chain(edge_draws(), seeded_draws()):
+        drawn = generators._stream_draws(*args)
+        assert drawn.tobytes() == generator_draws(*args).tobytes()
 
 
 def test_normal_draws_settle_a_failed_try_on_the_last_formed_output():
