@@ -236,11 +236,28 @@ def test_verify_rejects_zero_workers(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_defaults_of_verify_tolerance_and_search_q():
-    # verify's default tolerance is the one search checks at.
-    parser = cli._build_parser()
-    assert parser.parse_args(["verify"]).tolerance == bounds.MASTER_RTOL
-    assert parser.parse_args(["search"]).q == 1.0
+@pytest.mark.parametrize("command", ["verify", "sweep", "search"])
+def test_defaults_of_each_command_equal_the_parser_defaults(command):
+    argv = [command, "instance.json"] if command == "sweep" else [command]
+    parsed = vars(cli._build_parser().parse_args(argv))
+    options = cli._COMMANDS[command].options
+    defaults = {
+        option.name.lstrip("-").replace("-", "_"): option.default
+        for option in options
+        if option.name.startswith("-")
+    }
+    assert {k: parsed[k] for k in defaults} == defaults
+    assert set(parsed) == {"command", "handler", *defaults} | (
+        {"instance"} if command == "sweep" else set()
+    )
+    assert vars(cli._parse_canonical(argv)) == parsed
+    if command == "verify":
+        # verify's default tolerance is the one search checks at, and the
+        # no-op --workers is still read.
+        assert parsed["tolerance"] == bounds.MASTER_RTOL
+        assert parsed["workers"] == 1
+    if command == "search":
+        assert parsed["q"] == 1.0
 
 
 def test_verify_json_records(tmp_path):
@@ -564,6 +581,75 @@ def test_verify_on_fuzzed_options_exits_0_1_or_2(options):
         assert all(len(row) == len(CSV_COLUMNS) for row in rows)
         if code == 0:
             assert lines == []
+
+
+# The table reading of argv must agree with argparse wherever it accepts,
+# and decline wherever argparse refuses.  Besides the fuzz values above,
+# argv holds tokens argparse reads in its own way: "-3" is a value but
+# "-1e200" an unknown option, "-" a value, "--tol" an abbreviation, and
+# "--" ends the options (a "--" value after "=" is dropped).
+PARSE_FUZZ_OPTIONS = {
+    "verify": {
+        **VERIFY_FUZZ_OPTIONS,
+        "--rank-policy": (("full", "mixed"), ("sometimes",)),
+        "--format": (("csv", "json"), ("xml",)),
+    },
+    "sweep": SWEEP_FUZZ_OPTIONS,
+    "search": SEARCH_FUZZ_OPTIONS,
+}
+ODD_VALUES = ("-3", "-1e200", "-", "--")
+ODD_TOKENS = (("-3",), ("-1e200",), ("-",), ("--out", "-x"), ("--tol",), ("-h",),
+              ("--",))  # fmt: skip
+
+
+@st.composite
+def parse_argvs(draw):
+    # Mostly ordinary values, so that the table reading accepts a good share.
+    command = draw(st.sampled_from(sorted(PARSE_FUZZ_OPTIONS)))
+    table = {**PARSE_FUZZ_OPTIONS[command], "--out": (("run.out",), ("-x",))}
+    pieces = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 7)) == 0:
+            pieces.append(list(draw(st.sampled_from(ODD_TOKENS))))
+            continue
+        name = draw(st.sampled_from(sorted(table)))
+        ordinary, extreme = table[name]
+        odd = draw(st.integers(0, 4)) == 0
+        value = draw(st.sampled_from([*extreme, *ODD_VALUES] if odd else ordinary))
+        pieces.append([f"{name}={value}"] if draw(st.booleans()) else [name, value])
+    if command == "sweep" and draw(st.integers(0, 3)):
+        pieces.insert(draw(st.integers(0, len(pieces))), ["instance.json"])
+    if draw(st.integers(0, 5)) == 0:
+        pieces.append([draw(st.sampled_from(sorted(table)))])
+    return [command, *(token for piece in pieces for token in piece)]
+
+
+def namespace_fields(namespace):
+    # repr tells nan from nan, -0.0 from 0.0 and 1 from 1.0.
+    return {key: repr(value) for key, value in vars(namespace).items()}
+
+
+@given(parse_argvs())
+@example(["verify", "--q-lo", "-1e200"])
+@example(["verify", "--out=--"])
+@example(["sweep", "instance.json", "--format=xml"])
+@example(["verify", "--q", "1"])  # ambiguous: --q-lo or --q-hi
+@example(["sweep", "instance.json", "--q-lo", "-3", "--steps=5", "--format", "json"])
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_table_reading_agrees_with_argparse(argv):
+    read = cli._parse_canonical(argv)
+    with (
+        contextlib.redirect_stdout(io.StringIO()),
+        contextlib.redirect_stderr(io.StringIO()),
+    ):
+        try:
+            parsed = cli._build_parser().parse_args(argv)
+        except SystemExit:
+            parsed = None
+    if parsed is None:
+        assert read is None, argv
+    elif read is not None:
+        assert namespace_fields(read) == namespace_fields(parsed), argv
 
 
 FUZZED_COMMANDS = {
@@ -979,6 +1065,45 @@ def test_cli_import_leaves_numpy_random_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_argparse_and_locale_unloaded():
+    # argparse is imported only to build the parser for argv the option
+    # table does not read, and its gettext calls import locale.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qcbounds.cli\n"
+         "print(sorted({'argparse', 'locale'} & set(sys.modules)))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_canonical_calls_leave_argparse_and_locale_unloaded(tmp_path, pauli_file):
+    # The argv shapes of the benchmark's workloads (perfbench/workloads.py),
+    # at tiny sizes, are read from the option table alone.
+    script = (
+        "import sys, qcbounds.cli as cli\n"
+        "instance, out = sys.argv[1:]\n"
+        "for argv in (\n"
+        "    ['verify', '--dims', '2,3,4,8', '--trials', '2', '--rank-policy',"
+        "     'mixed', '--q-lo', '-3', '--q-hi', '3', '--format', 'csv',"
+        "     '--workers', '1', '--seed', '5', '--out', out],\n"
+        "    ['search', '--n', '4', '--q', '0.5', '--budget', '20', '--seed',"
+        "     '5', '--out', out],\n"
+        "    ['sweep', instance, '--q-lo', '-3', '--q-hi', '3', '--steps', '5',"
+        "     '--format', 'json', '--out', out],\n"
+        "):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "print(sorted({'argparse', 'locale'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(pauli_file), str(tmp_path / "out")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_small_verify_and_search_leave_numpy_random_unloaded(tmp_path):
